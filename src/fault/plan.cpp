@@ -2,11 +2,12 @@
 
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <set>
-#include <sstream>
 
 #include "sim/random.hpp"
 #include "util/fmt.hpp"
+#include "util/parse.hpp"
 
 namespace epi::fault {
 
@@ -28,15 +29,6 @@ const char* to_string(FaultKind k) noexcept {
 }
 
 namespace {
-
-bool parse_dir(const std::string& s, arch::Dir& out) {
-  if (s == "north") out = arch::Dir::North;
-  else if (s == "south") out = arch::Dir::South;
-  else if (s == "west") out = arch::Dir::West;
-  else if (s == "east") out = arch::Dir::East;
-  else return false;
-  return true;
-}
 
 /// Spread `n` event times over [0, horizon) with a uniform draw each.
 sim::Cycles draw_time(sim::Rng& rng, sim::Cycles horizon) {
@@ -264,220 +256,125 @@ std::string save(const FaultPlan& plan) {
   return out;
 }
 
+namespace {
+
+// The fields each directive must and may carry, indexed by FaultKind.
+// Machine-level directives take `chip=` only in a cluster plan, and must
+// there.
+struct Grammar {
+  std::string_view required, optional;
+};
+constexpr Grammar kGrammar[] = {
+    {"core at", "chip id"},                  // kill
+    {"core at for", "chip id"},              // stall
+    {"router dir at", "chip for id"},        // link
+    {"kind at", "chip for id"},              // elink
+    {"kind at", "chip for count id"},        // elink-flip
+    {"region at", "chip core for count id"}, // mem-flip
+    {"chip at", "id"},                       // chip-crash
+    {"chip at for", "id"},                   // chip-stall
+    {"from to at", "for flap period id"},    // xmesh
+    {"chip at", "for count id"},             // notice-drop
+    {"chip at", "for count id"},             // notice-flip
+};
+
+FaultEvent parse_event(const util::Line& line, const FaultPlan& plan,
+                       std::set<std::uint32_t>& seen_ids) {
+  unsigned k = 0;
+  while (k < std::size(kGrammar) && line.directive() != to_string(static_cast<FaultKind>(k))) ++k;
+  if (k == std::size(kGrammar)) {
+    throw line.error("unknown directive '" + std::string(line.directive()) + "'");
+  }
+  FaultEvent e;
+  e.kind = static_cast<FaultKind>(k);
+  if (is_chip_scoped(e.kind) && !plan.cluster()) {
+    throw line.error(std::string("'") + to_string(e.kind) +
+                     "' needs a prior 'chips RxC' declaration");
+  }
+  line.fields(kGrammar[k].required, kGrammar[k].optional);
+
+  const auto chip_field = [&](const char* key, arch::CoreCoord& c) {
+    if (!line.pair(key, ',', c.row, c.col, "row,col")) return false;
+    if (!plan.cluster()) {
+      throw line.error(std::string("'") + key + "=' needs a prior 'chips RxC' declaration");
+    }
+    if (c.row >= plan.chip_rows || c.col >= plan.chip_cols) {
+      throw line.error(util::format("chip coordinate (%u,%u) outside the %ux%u chip grid",
+                                    c.row, c.col, plan.chip_rows, plan.chip_cols));
+    }
+    return true;
+  };
+  e.has_chip = chip_field("chip", e.chip) || chip_field("from", e.chip);
+  chip_field("to", e.chip2);
+  const bool have_core = line.pair("core", ',', e.core.row, e.core.col, "row,col") ||
+                         line.pair("router", ',', e.core.row, e.core.col, "row,col");
+  // Word lists in enum order (arch::Dir; elink 0 = write network).
+  e.dir = static_cast<arch::Dir>(line.choice("dir", {"north", "south", "west", "east"}).value_or(0));
+  e.elink = static_cast<std::uint8_t>(line.choice("kind", {"write", "read"}).value_or(0));
+  e.scratch = line.choice("region", {"dram", "scratch"}) == 1u;
+  line.number("at", e.at);
+  line.number("for", e.duration);
+  line.number("count", e.count);
+  line.number("flap", e.flap);
+  line.number("period", e.period);
+  if (line.number("id", e.id)) {
+    if (e.id == 0) throw line.error("id must be a positive integer");
+    if (!seen_ids.insert(e.id).second) {
+      throw line.error(util::format("duplicate fault id %u", e.id));
+    }
+  }
+
+  if (plan.cluster() && !is_chip_scoped(e.kind) && !e.has_chip) {
+    throw line.error(std::string("machine-level '") + to_string(e.kind) +
+                     "' in a cluster plan needs chip=row,col");
+  }
+  if ((e.kind == FaultKind::StallCore || e.kind == FaultKind::ChipStall) && e.duration == 0) {
+    throw line.error(std::string(to_string(e.kind)) + " needs for=CYCLES > 0");
+  }
+  if (e.kind == FaultKind::MemFlip && !e.scratch && have_core) {
+    throw line.error("mem-flip region=dram takes no core");
+  }
+  if (e.kind == FaultKind::XMeshFail) {
+    if (e.chip == e.chip2) throw line.error("xmesh from= and to= must differ");
+    if (e.flap == 0) throw line.error("flap must be at least 1");
+    if (e.flap > 1 && e.duration == 0) {
+      throw line.error("a permanent (for=0) xmesh outage cannot flap");
+    }
+    if (e.flap > 1 && e.period == 0) throw line.error("xmesh flap>1 needs period=CYCLES > 0");
+  }
+  if (e.count == 0) throw line.error("count must be at least 1");
+  e.core_any = !(e.kind == FaultKind::MemFlip && e.scratch && have_core);
+  return e;
+}
+
+}  // namespace
+
 FaultPlan parse(std::istream& in, const std::string& source) {
   FaultPlan plan;
-  std::string line;
-  unsigned lineno = 0;
   std::set<std::uint32_t> seen_ids;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto fail = [&](const std::string& why) -> FaultError {
-      return FaultError(util::format("%s:%u: %s", source.c_str(), lineno, why.c_str()));
-    };
-    const auto check_chip = [&](arch::CoreCoord c) {
-      if (c.row >= plan.chip_rows || c.col >= plan.chip_cols) {
-        throw fail(util::format(
-            "chip coordinate (%u,%u) outside the %ux%u chip grid", c.row,
-            c.col, plan.chip_rows, plan.chip_cols));
-      }
-    };
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word[0] == '#') continue;  // blank or comment
-
-    if (word == "seed") {
-      std::string val;
-      if (!(ls >> val)) throw fail("seed directive needs a value");
-      try {
-        plan.seed = std::stoull(val);
-      } catch (const std::exception&) {
-        throw fail("seed value '" + val + "' is not an integer");
-      }
-      continue;
-    }
-
-    if (word == "chips") {
-      if (plan.cluster()) throw fail("duplicate 'chips' declaration");
-      if (!plan.events.empty()) {
-        throw fail("'chips RxC' must precede every fault directive");
-      }
-      std::string val;
-      if (!(ls >> val)) throw fail("chips directive needs RxC (e.g. 2x2)");
-      const auto x = val.find('x');
-      try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        plan.chip_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        plan.chip_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        throw fail("chips value '" + val + "' is not RxC (e.g. 2x2)");
-      }
-      if (plan.chip_rows == 0 || plan.chip_cols == 0) {
-        throw fail("chips grid must be non-empty");
-      }
-      continue;
-    }
-
-    FaultEvent e;
-    if (word == "kill") e.kind = FaultKind::KillCore;
-    else if (word == "stall") e.kind = FaultKind::StallCore;
-    else if (word == "link") e.kind = FaultKind::LinkFail;
-    else if (word == "elink") e.kind = FaultKind::ElinkFail;
-    else if (word == "elink-flip") e.kind = FaultKind::ElinkFlip;
-    else if (word == "mem-flip") e.kind = FaultKind::MemFlip;
-    else if (word == "chip-crash") e.kind = FaultKind::ChipCrash;
-    else if (word == "chip-stall") e.kind = FaultKind::ChipStall;
-    else if (word == "xmesh") e.kind = FaultKind::XMeshFail;
-    else if (word == "notice-drop") e.kind = FaultKind::NoticeDrop;
-    else if (word == "notice-flip") e.kind = FaultKind::NoticeFlip;
-    else throw fail("unknown directive '" + word + "'");
-
-    if (is_chip_scoped(e.kind) && !plan.cluster()) {
-      throw fail(std::string("'") + to_string(e.kind) +
-                 "' needs a prior 'chips RxC' declaration");
-    }
-
-    bool have_core = false, have_at = false, have_for = false;
-    bool have_region = false, have_kind = false;
-    bool have_from = false, have_to = false, have_flap = false,
-         have_period = false;
-    while (ls >> word) {
-      const auto eq = word.find('=');
-      if (eq == std::string::npos) throw fail("field '" + word + "' is not key=value");
-      const std::string key = word.substr(0, eq);
-      const std::string val = word.substr(eq + 1);
-      const auto parse_coord = [&](arch::CoreCoord& out) {
-        const auto comma = val.find(',');
-        if (comma == std::string::npos) throw fail("'" + key + "' needs row,col");
-        out.row = static_cast<unsigned>(std::stoul(val.substr(0, comma)));
-        out.col = static_cast<unsigned>(std::stoul(val.substr(comma + 1)));
-      };
-      try {
-        if (key == "core" || key == "router") {
-          parse_coord(e.core);
-          have_core = true;
-        } else if (key == "chip" || key == "from") {
-          if (key == "from" && e.kind != FaultKind::XMeshFail) {
-            throw fail("'from' only applies to xmesh faults");
-          }
-          if (key == "chip" && e.kind == FaultKind::XMeshFail) {
-            throw fail("xmesh faults take from=/to=, not chip=");
-          }
-          if (!plan.cluster()) {
-            throw fail("'" + key + "=' needs a prior 'chips RxC' declaration");
-          }
-          parse_coord(e.chip);
-          check_chip(e.chip);
-          e.has_chip = true;
-          have_from = true;
-        } else if (key == "to") {
-          if (e.kind != FaultKind::XMeshFail) {
-            throw fail("'to' only applies to xmesh faults");
-          }
-          parse_coord(e.chip2);
-          check_chip(e.chip2);
-          have_to = true;
-        } else if (key == "flap") {
-          e.flap = static_cast<std::uint32_t>(std::stoul(val));
-          have_flap = true;
-        } else if (key == "period") {
-          e.period = std::stoull(val);
-          have_period = true;
-        } else if (key == "id") {
-          e.id = static_cast<std::uint32_t>(std::stoul(val));
-          if (e.id == 0) throw fail("id must be a positive integer");
-          if (!seen_ids.insert(e.id).second) {
-            throw fail(util::format("duplicate fault id %u", e.id));
-          }
-        } else if (key == "dir") {
-          if (!parse_dir(val, e.dir)) throw fail("unknown direction '" + val + "'");
-        } else if (key == "at") {
-          e.at = std::stoull(val);
-          have_at = true;
-        } else if (key == "for") {
-          e.duration = std::stoull(val);
-          have_for = true;
-        } else if (key == "count") {
-          e.count = static_cast<std::uint32_t>(std::stoul(val));
-        } else if (key == "kind") {
-          if (val == "write") e.elink = 0;
-          else if (val == "read") e.elink = 1;
-          else throw fail("eLink kind must be 'write' or 'read', got '" + val + "'");
-          have_kind = true;
-        } else if (key == "region") {
-          if (val == "dram") e.scratch = false;
-          else if (val == "scratch") e.scratch = true;
-          else throw fail("region must be 'dram' or 'scratch', got '" + val + "'");
-          have_region = true;
-        } else {
-          throw fail("unknown field '" + key + "'");
+  try {
+    util::for_each_line(in, source, [&](const util::Line& line) {
+      if (line.directive() == "seed") {
+        const std::string_view v = line.value();
+        if (util::parse_number(v, plan.seed) != std::errc{}) {
+          throw line.error("seed value '" + std::string(v) + "' is not an unsigned 64-bit decimal");
         }
-      } catch (const std::invalid_argument&) {
-        throw fail("field '" + key + "' has non-numeric value '" + val + "'");
-      } catch (const std::out_of_range&) {
-        throw fail("field '" + key + "' value out of range: '" + val + "'");
+      } else if (line.directive() == "chips") {
+        if (plan.cluster()) throw line.error("duplicate 'chips' declaration");
+        if (!plan.events.empty()) {
+          throw line.error("'chips RxC' must precede every fault directive");
+        }
+        const std::string_view v = line.value();
+        if (!util::parse_pair(v, 'x', plan.chip_rows, plan.chip_cols)) {
+          throw line.error("chips value '" + std::string(v) + "' is not RxC (e.g. 2x2)");
+        }
+        if (!plan.cluster()) throw line.error("chips grid must be non-empty");
+      } else {
+        plan.events.push_back(parse_event(line, plan, seen_ids));
       }
-    }
-
-    if (!have_at) throw fail("fault needs an at=CYCLE field");
-    if (plan.cluster() && !is_chip_scoped(e.kind) && !e.has_chip) {
-      throw fail(std::string("machine-level '") + to_string(e.kind) +
-                 "' in a cluster plan needs chip=row,col");
-    }
-    if ((have_flap || have_period) && e.kind != FaultKind::XMeshFail) {
-      throw fail("flap/period only apply to xmesh faults");
-    }
-    switch (e.kind) {
-      case FaultKind::KillCore:
-        if (!have_core) throw fail("kill needs core=row,col");
-        e.duration = 0;
-        break;
-      case FaultKind::StallCore:
-        if (!have_core) throw fail("stall needs core=row,col");
-        if (!have_for || e.duration == 0) throw fail("stall needs for=CYCLES > 0");
-        break;
-      case FaultKind::LinkFail: {
-        if (!have_core) throw fail("link needs router=row,col");
-        break;
-      }
-      case FaultKind::ElinkFail:
-      case FaultKind::ElinkFlip:
-        if (!have_kind) throw fail("eLink fault needs kind=write|read");
-        break;
-      case FaultKind::MemFlip:
-        if (!have_region) throw fail("mem-flip needs region=dram|scratch");
-        if (!e.scratch && have_core) throw fail("mem-flip region=dram takes no core");
-        break;
-      case FaultKind::ChipCrash:
-        if (!have_from) throw fail("chip-crash needs chip=row,col");
-        e.duration = 0;  // a crash is always permanent
-        break;
-      case FaultKind::ChipStall:
-        if (!have_from) throw fail("chip-stall needs chip=row,col");
-        if (!have_for || e.duration == 0) {
-          throw fail("chip-stall needs for=CYCLES > 0");
-        }
-        break;
-      case FaultKind::XMeshFail:
-        if (!have_from || !have_to) throw fail("xmesh needs from= and to= chips");
-        if (e.chip == e.chip2) throw fail("xmesh from= and to= must differ");
-        if (e.flap == 0) throw fail("flap must be at least 1");
-        if (e.flap > 1 && e.duration == 0) {
-          throw fail("a permanent (for=0) xmesh outage cannot flap");
-        }
-        if (e.flap > 1 && (!have_period || e.period == 0)) {
-          throw fail("xmesh flap>1 needs period=CYCLES > 0");
-        }
-        break;
-      case FaultKind::NoticeDrop:
-      case FaultKind::NoticeFlip:
-        if (!have_from) {
-          throw fail(std::string(to_string(e.kind)) + " needs chip=row,col");
-        }
-        break;
-    }
-    if (e.count == 0) throw fail("count must be at least 1");
-    e.core_any = !(e.kind == FaultKind::MemFlip && e.scratch && have_core);
-    plan.events.push_back(e);
+    });
+  } catch (const util::ParseError& e) {
+    throw FaultError(e.what());
   }
   return plan;
 }

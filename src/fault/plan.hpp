@@ -41,7 +41,9 @@
 //   kill chip=0,0 core=2,3 at=120000            # machine fault, one chip
 //
 // Parse errors carry `source:line: message` so a bad plan file points at
-// the offending line, same as the workload parser.
+// the offending line, same as the workload parser; both are built on
+// util/parse.hpp, whose number rule (whole-token unsigned decimal, in
+// range) every field follows.
 
 #include <cstdint>
 #include <iosfwd>

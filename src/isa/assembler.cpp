@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <map>
+#include <string_view>
+#include <system_error>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace epi::isa {
 
@@ -44,35 +47,35 @@ std::vector<std::string> tokenize(std::string_view line) {
 unsigned parse_reg(const std::string& t, unsigned line) {
   if (t.size() < 2 || t[0] != 'r') throw AssemblyError(line, "expected register, got '" + t + "'");
   unsigned v = 0;
-  const auto [p, ec] = std::from_chars(t.data() + 1, t.data() + t.size(), v);
-  if (ec != std::errc{} || p != t.data() + t.size() || v >= RegFile::kCount) {
+  if (util::parse_number(std::string_view(t).substr(1), v) != std::errc{} ||
+      v >= RegFile::kCount) {
     throw AssemblyError(line, "bad register '" + t + "'");
   }
   return v;
 }
 
+/// A signed number: an optional '-', then decimal or 0x-hex digits whose
+/// magnitude fits 32 bits (so full 32-bit hex patterns, e.g. float bit
+/// images, are accepted). False when `s` is anything else.
+bool parse_signed(std::string_view s, std::int64_t& out) {
+  const bool neg = s.starts_with('-');
+  if (neg) s.remove_prefix(1);
+  const bool hex = s.size() > 2 && s.starts_with("0x");
+  std::uint32_t mag = 0;
+  if (util::parse_number(s.substr(hex ? 2 : 0), mag, hex ? 16 : 10) != std::errc{}) {
+    return false;
+  }
+  out = neg ? -std::int64_t{mag} : std::int64_t{mag};
+  return true;
+}
+
 std::int32_t parse_imm(const std::string& t, unsigned line) {
   if (t.empty() || t[0] != '#') throw AssemblyError(line, "expected immediate, got '" + t + "'");
-  std::string_view body(t.data() + 1, t.size() - 1);
-  int base = 10;
-  if (body.size() > 2 && body[0] == '0' && body[1] == 'x') {
-    base = 16;
-    body.remove_prefix(2);
-  }
-  bool neg = false;
-  if (!body.empty() && body[0] == '-') {
-    neg = true;
-    body.remove_prefix(1);
-  }
-  // Parse the magnitude as unsigned so full 32-bit hex patterns (e.g. float
-  // bit images) are accepted, then wrap into the signed immediate.
-  std::uint32_t mag = 0;
-  const auto [p, ec] = std::from_chars(body.data(), body.data() + body.size(), mag, base);
-  if (ec != std::errc{} || p != body.data() + body.size()) {
+  std::int64_t v = 0;
+  if (!parse_signed(std::string_view(t).substr(1), v)) {
     throw AssemblyError(line, "bad immediate '" + t + "'");
   }
-  const auto v = static_cast<std::int32_t>(mag);
-  return neg ? -v : v;
+  return static_cast<std::int32_t>(v);  // wraps hex bit patterns into the signed immediate
 }
 
 /// Parse the "[rn, #imm]" / "[rn], #imm" tail of a memory instruction.
@@ -116,28 +119,13 @@ const std::map<std::string, Opcode, std::less<>> kMnemonics = {
     {"testset", Opcode::Testset},
 };
 
-/// Parse a bare number operand of a `.dma` directive: decimal or 0x-hex,
-/// optionally negative (strides). No '#' prefix -- directives are data,
-/// not instructions.
+/// Parse a bare number operand of a `.dma` directive (parse_signed: the
+/// strides may be negative). No '#' prefix -- directives are data, not
+/// instructions.
 std::int64_t parse_dma_num(const std::string& t, unsigned line) {
-  std::string_view body(t);
-  bool neg = false;
-  if (!body.empty() && body[0] == '-') {
-    neg = true;
-    body.remove_prefix(1);
-  }
-  int base = 10;
-  if (body.size() > 2 && body[0] == '0' && body[1] == 'x') {
-    base = 16;
-    body.remove_prefix(2);
-  }
-  std::uint32_t mag = 0;
-  const auto [p, ec] = std::from_chars(body.data(), body.data() + body.size(), mag, base);
-  if (ec != std::errc{} || p != body.data() + body.size()) {
-    throw AssemblyError(line, "bad .dma operand '" + t + "'");
-  }
-  const auto v = static_cast<std::int64_t>(mag);
-  return neg ? -v : v;
+  std::int64_t v = 0;
+  if (!parse_signed(t, v)) throw AssemblyError(line, "bad .dma operand '" + t + "'");
+  return v;
 }
 
 DmaDecl parse_dma(const std::vector<std::string>& tok, unsigned line) {

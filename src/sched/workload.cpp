@@ -3,12 +3,12 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
 
 #include "sched/dag.hpp"
 #include "sim/random.hpp"
 #include "util/fmt.hpp"
+#include "util/parse.hpp"
 
 namespace epi::sched {
 
@@ -161,86 +161,63 @@ std::string save(const std::vector<JobSpec>& jobs) {
 
 std::vector<JobSpec> load(std::istream& in, const std::string& source) {
   std::vector<JobSpec> jobs;
-  std::string line;
-  unsigned lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto fail = [&](const std::string& why) -> std::runtime_error {
-      return std::runtime_error(
-          util::format("%s:%u: %s", source.c_str(), lineno, why.c_str()));
-    };
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word[0] == '#') continue;  // blank or comment
-    if (word != "job") throw fail("expected 'job', got '" + word + "'");
+  util::for_each_line(in, source, [&](const util::Line& line) {
+    if (line.directive() != "job") {
+      throw line.error("expected 'job', got '" + std::string(line.directive()) + "'");
+    }
+    line.fields({}, "id tenant kind rows cols prio arrival deadline timeout iters "
+                    "block failures home origin graph stage stages deps");
     JobSpec s;
-    while (ls >> word) {
-      const auto eq = word.find('=');
-      if (eq == std::string::npos) throw fail("field '" + word + "' is not key=value");
-      const std::string key = word.substr(0, eq);
-      const std::string val = word.substr(eq + 1);
-      try {
-        if (key == "id") s.id = static_cast<std::uint32_t>(std::stoul(val));
-        else if (key == "tenant") s.tenant = val;
-        else if (key == "kind") {
-          if (!parse_kind(val, s.kind)) throw fail("unknown kind '" + val + "'");
-          if (s.kind == JobKind::Custom) {
-            throw fail(
-                "custom jobs carry inline programs and cannot be expressed in "
-                "a workload file; submit them via Scheduler::submit or "
-                "epi_serve --asm");
-          }
-        }
-        else if (key == "rows") s.rows = static_cast<unsigned>(std::stoul(val));
-        else if (key == "cols") s.cols = static_cast<unsigned>(std::stoul(val));
-        else if (key == "prio") s.priority = static_cast<unsigned>(std::stoul(val));
-        else if (key == "arrival") s.arrival = std::stoull(val);
-        else if (key == "deadline") s.deadline = std::stoull(val);
-        else if (key == "timeout") s.timeout = std::stoull(val);
-        else if (key == "iters") s.iters = static_cast<unsigned>(std::stoul(val));
-        else if (key == "block") s.block = static_cast<unsigned>(std::stoul(val));
-        else if (key == "failures") s.launch_failures = static_cast<unsigned>(std::stoul(val));
-        else if (key == "home") s.home_chip = static_cast<unsigned>(std::stoul(val));
-        else if (key == "origin") s.origin_chip = static_cast<unsigned>(std::stoul(val));
-        else if (key == "graph") s.graph = static_cast<std::uint32_t>(std::stoul(val));
-        else if (key == "stage") s.stage = static_cast<unsigned>(std::stoul(val));
-        else if (key == "stages") s.graph_stages = static_cast<unsigned>(std::stoul(val));
-        else if (key == "deps") {
-          // id:bytes pairs, comma-separated: deps=12:2048,13:4096
-          std::size_t pos = 0;
-          while (pos < val.size()) {
-            const auto comma = val.find(',', pos);
-            const std::string pair =
-                val.substr(pos, comma == std::string::npos ? comma : comma - pos);
-            const auto colon = pair.find(':');
-            if (colon == std::string::npos || colon == 0 || colon + 1 >= pair.size()) {
-              throw fail("dep '" + pair + "' is not id:bytes");
-            }
-            s.deps.emplace_back(
-                static_cast<std::uint32_t>(std::stoul(pair.substr(0, colon))),
-                static_cast<std::uint32_t>(std::stoul(pair.substr(colon + 1))));
-            if (comma == std::string::npos) break;
-            pos = comma + 1;
-          }
-        }
-        else throw fail("unknown field '" + key + "'");
-      } catch (const std::invalid_argument&) {
-        throw fail("field '" + key + "' has non-numeric value '" + val + "'");
-      } catch (const std::out_of_range&) {
-        throw fail("field '" + key + "' value out of range: '" + val + "'");
+    line.number("id", s.id);
+    if (const auto v = line.find("tenant")) s.tenant = std::string(*v);
+    if (const auto v = line.find("kind")) {
+      if (!parse_kind(*v, s.kind)) throw line.error("unknown kind '" + std::string(*v) + "'");
+      if (s.kind == JobKind::Custom) {
+        throw line.error(
+            "custom jobs carry inline programs and cannot be expressed in "
+            "a workload file; submit them via Scheduler::submit or "
+            "epi_serve --asm");
       }
     }
-    if (s.rows == 0 || s.cols == 0) throw fail("job shape must be at least 1x1");
+    line.number("rows", s.rows);
+    line.number("cols", s.cols);
+    line.number("prio", s.priority);
+    line.number("arrival", s.arrival);
+    line.number("deadline", s.deadline);
+    line.number("timeout", s.timeout);
+    line.number("iters", s.iters);
+    line.number("block", s.block);
+    line.number("failures", s.launch_failures);
+    line.number("home", s.home_chip);
+    line.number("origin", s.origin_chip);
+    line.number("graph", s.graph);
+    line.number("stage", s.stage);
+    line.number("stages", s.graph_stages);
+    if (const auto v = line.find("deps")) {
+      // id:bytes pairs, comma-separated: deps=12:2048,13:4096
+      std::string_view rest = *v;
+      for (bool more = true; more;) {
+        const auto comma = rest.find(',');
+        more = comma != std::string_view::npos;
+        const std::string_view pair = rest.substr(0, comma);
+        auto& dep = s.deps.emplace_back();
+        if (!util::parse_pair(pair, ':', dep.first, dep.second)) {
+          throw line.error("dep '" + std::string(pair) + "' is not id:bytes");
+        }
+        if (more) rest.remove_prefix(comma + 1);
+      }
+    }
+    if (s.rows == 0 || s.cols == 0) throw line.error("job shape must be at least 1x1");
     if (s.graph != 0 && (s.graph_stages == 0 || s.stage >= s.graph_stages)) {
-      throw fail("graph job needs stage < stages (got stage=" +
-                 std::to_string(s.stage) + " stages=" +
-                 std::to_string(s.graph_stages) + ")");
+      throw line.error("graph job needs stage < stages (got stage=" +
+                       std::to_string(s.stage) + " stages=" +
+                       std::to_string(s.graph_stages) + ")");
     }
     if (s.graph == 0 && !s.deps.empty()) {
-      throw fail("deps require a nonzero graph id");
+      throw line.error("deps require a nonzero graph id");
     }
     jobs.push_back(std::move(s));
-  }
+  });
   return jobs;
 }
 

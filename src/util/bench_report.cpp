@@ -11,21 +11,9 @@
 #include "trace/export.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
+#include "util/parse.hpp"
 
 namespace epi::util {
-
-namespace {
-
-bool take_value_flag(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
   BenchArgs a;
@@ -33,9 +21,9 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
   a.metrics_path = a.bench + "_trace.json";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (take_value_flag(arg, "--trace", a.trace_path) ||
-        take_value_flag(arg, "--csv", a.csv_path) ||
-        take_value_flag(arg, "--metrics", a.metrics_path)) {
+    const Flag f(arg);
+    if (f.text("--trace", a.trace_path) || f.text("--csv", a.csv_path) ||
+        f.text("--metrics", a.metrics_path)) {
       continue;
     }
     if (arg == "--no-metrics") {

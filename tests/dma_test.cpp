@@ -199,11 +199,20 @@ TEST_F(DmaTest, BytesMovedAccounting) {
 
 // Parameterised semantics sweep: every (elem size, inner, outer, stride)
 // combination must equal the reference element walk.
+//
+// GoogleTest names each case after the raw bytes of its parameter, so the
+// bytes after `elem` are an explicit zeroed member: left as implicit padding
+// they are indeterminate, and the case names changed from build to build.
 struct DescCase {
+  DescCase(dma::ElemSize elem, std::uint32_t inner, std::uint32_t outer, std::int32_t si,
+           std::int32_t di, std::int32_t so, std::int32_t dso)
+      : elem(elem), inner(inner), outer(outer), si(si), di(di), so(so), dso(dso) {}
   dma::ElemSize elem;
+  std::uint8_t pad[3] = {};
   std::uint32_t inner, outer;
   std::int32_t si, di, so, dso;
 };
+static_assert(sizeof(DescCase) == 28, "DescCase must have no implicit padding");
 
 class DmaDescSemantics : public DmaTest, public ::testing::WithParamInterface<DescCase> {};
 

@@ -53,15 +53,57 @@ std::string parse_error(const std::string& text) {
   return {};
 }
 
+// One malformed input: its exact `source:line:` prefix and a phrase the
+// message must contain.
+struct BadInput {
+  const char* text;
+  const char* where;
+  const char* says;
+};
+
 TEST(FaultPlanParser, ErrorsCarrySourceAndLine) {
-  EXPECT_EQ(parse_error("kill core=2,3\n").substr(0, 7), "plan:1:");
-  EXPECT_EQ(parse_error("seed 5\n\n# ok\nwobble at=3\n").substr(0, 7), "plan:4:");
-  EXPECT_NE(parse_error("stall core=1,1 at=5 for=0\n").find("for=CYCLES > 0"),
-            std::string::npos);
-  EXPECT_NE(parse_error("mem-flip region=rom at=0\n").find("'dram' or 'scratch'"),
-            std::string::npos);
-  EXPECT_NE(parse_error("kill core=1,1 at=soon\n").find("non-numeric"),
-            std::string::npos);
+  const BadInput cases[] = {
+      {"kill core=2,3\n", "plan:1:", "needs at="},
+      {"seed 5\n\n# ok\nwobble at=3\n", "plan:4:", "unknown directive 'wobble'"},
+      {"stall core=1,1 at=5 for=0\n", "plan:1:", "for=CYCLES > 0"},
+      {"mem-flip region=rom at=0\n", "plan:1:", "'dram' or 'scratch'"},
+      {"kill core=1,1 at=soon\n", "plan:1:", "non-numeric"},
+      // Numbers are whole-token unsigned decimals that fit their field:
+      // nothing is truncated, wrapped or read up to the first bad byte.
+      {"kill core=4294967297,2 at=5\n", "plan:1:", "needs row,col"},
+      {"kill core=-1,2 at=5\n", "plan:1:", "needs row,col"},
+      {"kill core=1,1 at=12abc\n", "plan:1:", "non-numeric"},
+      {"kill core=1,1 at=0x10\n", "plan:1:", "non-numeric"},
+      {"seed 3\nkill core=1,1 at=-5\n", "plan:2:", "non-numeric"},
+      {"kill core=1,2x at=5\n", "plan:1:", "needs row,col"},
+      {"elink-flip kind=write at=0 count=4294967297\n", "plan:1:", "out of range"},
+      {"seed 18446744073709551616\n", "plan:1:", "seed value"},
+      {"chips 2x2x\n", "plan:1:", "not RxC"},
+      {"kill core=1,1 at=5 at=6\n", "plan:1:", "duplicate field 'at'"},
+      // Each directive takes only its own fields.
+      {"kill core=1,1 at=5 for=9\n", "plan:1:", "unknown field 'for'"},
+      {"link router=4,4 at=5\n", "plan:1:", "dir="},
+      {"seed 7 8\n", "plan:1:", "exactly one value"},
+      // The parser cases formerly checked by `epi_fault --selftest`.
+      {"seed 5\nfrob core=1,1 at=10\n", "plan:2:", "unknown directive 'frob'"},
+      {"link router=4 dir=east at=5 for=0\n", "plan:1:", "needs row,col"},
+      {"mem-flip region=attic at=0 for=0 count=1\n", "plan:1:", "'dram' or 'scratch'"},
+      {"seed banana\n", "plan:1:", "seed value 'banana'"},
+      {"chips 2x2\nchip-crash chip=0,0 at=10 id=3\n"
+       "chip-stall chip=0,1 at=20 for=50 id=3\n",
+       "plan:3:", "duplicate fault id 3"},
+      {"chips 2x2\nchip-crash chip=2,0 at=10\n", "plan:2:", "outside the 2x2 chip grid"},
+      {"chips 2x2\nxmesh from=0,1 to=3,3 at=5 for=100\n", "plan:2:",
+       "outside the 2x2 chip grid"},
+      {"chips 2x2\nxmesh from=0,0 to=0,0 at=5 for=100\n", "plan:2:", "must differ"},
+      {"chip-stall chip=0,0 at=5 for=100\n", "plan:1:", "needs a prior 'chips RxC'"},
+      {"seed 1\nchips 2x2\nchips 2x2\n", "plan:3:", "duplicate 'chips'"},
+  };
+  for (const BadInput& c : cases) {
+    const std::string msg = parse_error(c.text);
+    EXPECT_EQ(msg.substr(0, std::string(c.where).size()), c.where) << c.text << msg;
+    EXPECT_NE(msg.find(c.says), std::string::npos) << c.text << msg;
+  }
 }
 
 TEST(FaultPlanParser, RoundTripsThroughText) {
@@ -90,14 +132,28 @@ TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
     }
     return {};
   };
-  EXPECT_EQ(err("task id=0\n").substr(0, 5), "wl:1:");
-  EXPECT_EQ(err("# fine\njob id=0 kind=sort\n").substr(0, 5), "wl:2:");
-  EXPECT_NE(err("job id=0 kind=matmul rows=0 cols=2 arrival=0\n")
-                .find("at least 1x1"),
-            std::string::npos);
-  EXPECT_NE(err("job id=zero kind=matmul rows=1 cols=1 arrival=0\n")
-                .find("non-numeric"),
-            std::string::npos);
+  const BadInput cases[] = {
+      {"task id=0\n", "wl:1:", "expected 'job'"},
+      {"# fine\njob id=0 kind=sort\n", "wl:2:", "unknown kind 'sort'"},
+      {"job id=0 kind=matmul rows=0 cols=2 arrival=0\n", "wl:1:", "at least 1x1"},
+      {"job id=zero kind=matmul rows=1 cols=1 arrival=0\n", "wl:1:", "non-numeric"},
+      {"job id=0 kind=matmul rows=4294967297 cols=1\n", "wl:1:", "out of range"},
+      {"job id=0 kind=matmul rows=-1 cols=1\n", "wl:1:", "non-numeric"},
+      {"\njob id=0 kind=matmul arrival=12abc\n", "wl:2:", "non-numeric"},
+      {"job id=0 kind=matmul deadline=0x10\n", "wl:1:", "non-numeric"},
+      {"job id=0 kind=matmul timeout=-5\n", "wl:1:", "non-numeric"},
+      {"job id=1 kind=offload graph=1 stage=1 stages=2 deps=0:2048x\n", "wl:1:",
+       "'0:2048x' is not id:bytes"},
+      {"job id=1 kind=offload graph=1 stage=1 stages=2 deps=0:1:2\n", "wl:1:",
+       "is not id:bytes"},
+      {"job id=0 kind=matmul rows=1 rows=2\n", "wl:1:", "duplicate field 'rows'"},
+      {"job id=0 kind=matmul size=2\n", "wl:1:", "unknown field 'size'"},
+  };
+  for (const BadInput& c : cases) {
+    const std::string msg = err(c.text);
+    EXPECT_EQ(msg.substr(0, std::string(c.where).size()), c.where) << c.text << msg;
+    EXPECT_NE(msg.find(c.says), std::string::npos) << c.text << msg;
+  }
 }
 
 // ---- watchdog semantics ---------------------------------------------------

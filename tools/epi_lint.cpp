@@ -11,18 +11,19 @@
 // Exit status: 0 clean or warnings only, 1 errors (or any finding under
 // --Werror), 2 usage or assembly error.
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "isa/assembler.hpp"
 #include "isa/kernels.hpp"
 #include "lint/lint.hpp"
 #include "lint/workgroup.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -54,29 +55,11 @@ void usage(std::ostream& os) {
         "  2  usage error, unreadable input, or assembly error\n";
 }
 
-bool parse_u32(const std::string& s, std::uint32_t& out) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long v = std::stoul(s, &pos, 0);
-    if (pos != s.size() || v > 0xFFFFFFFFul) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// "RxC" / "R,C" -> (R, C), both in 1..64.
-bool parse_shape(const std::string& s, char sep, unsigned& r, unsigned& c) {
-  const auto x = s.find(sep);
-  std::uint32_t a = 0, b = 0;
-  if (x == std::string::npos || !parse_u32(s.substr(0, x), a) ||
-      !parse_u32(s.substr(x + 1), b) || a == 0 || b == 0 || a > 64 || b > 64) {
-    return false;
-  }
-  r = a;
-  c = b;
-  return true;
+/// A byte count or offset: decimal, or hex with its documented 0x prefix.
+bool parse_u32(std::string_view s, std::uint32_t& out) {
+  const bool hex = s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+  return epi::util::parse_number(s.substr(hex ? 2 : 0), out, hex ? 16 : 10) ==
+         std::errc{};
 }
 
 /// AssemblyError::what() begins with its own "line N: "; drop it, since we
@@ -148,26 +131,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--Werror") {
       werror = true;
     } else if (arg == "--workgroup") {
-      if (!parse_shape(value(), 'x', wg_rows, wg_cols)) {
+      if (!epi::util::parse_pair(value(), 'x', wg_rows, wg_cols) || wg_rows == 0 ||
+          wg_cols == 0 || wg_rows > 64 || wg_cols > 64) {
         std::cerr << "epi_lint: --workgroup needs RxC (e.g. 2x2)\n";
         return 2;
       }
       workgroup = true;
     } else if (arg == "--origin") {
-      unsigned r = 0, c = 0;
-      const std::string v = value();
-      // origin may legitimately be 0, so parse by hand around parse_shape's
-      // zero rejection.
-      const auto comma = v.find(',');
-      std::uint32_t a = 0, b = 0;
-      if (comma == std::string::npos || !parse_u32(v.substr(0, comma), a) ||
-          !parse_u32(v.substr(comma + 1), b) || a > 63 || b > 63) {
+      if (!epi::util::parse_pair(value(), ',', origin.row, origin.col) ||
+          origin.row > 63 || origin.col > 63) {
         std::cerr << "epi_lint: --origin needs R,C (e.g. 0,0)\n";
         return 2;
       }
-      r = a;
-      c = b;
-      origin = {r, c};
     } else if (arg == "--extent") {
       if (!parse_u32(value(), opts.extent)) {
         std::cerr << "epi_lint: --extent needs a byte count\n";
@@ -177,8 +152,9 @@ int main(int argc, char** argv) {
       std::uint32_t off = 0, size = 0;
       const std::string spec = value();
       const auto colon = spec.find(':');
-      if (colon == std::string::npos || !parse_u32(spec.substr(0, colon), off) ||
-          !parse_u32(spec.substr(colon + 1), size)) {
+      if (colon == std::string::npos ||
+          !parse_u32(std::string_view(spec).substr(0, colon), off) ||
+          !parse_u32(std::string_view(spec).substr(colon + 1), size)) {
         std::cerr << "epi_lint: --code needs OFFSET:SIZE\n";
         return 2;
       }

@@ -89,6 +89,7 @@
 #include "sched/workload.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -118,15 +119,6 @@ struct Options {
   double remote_frac = 0.25;
   double pipelines = 0.0;
 };
-
-bool value_flag(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
 
 struct RunOutput {
   std::string report;
@@ -368,96 +360,59 @@ int run_cluster(const Options& opt) {
   return 0;
 }
 
+/// Read the command line into `opt`; throws util::ParseError naming the
+/// flag on a malformed or unknown argument.
+void parse_args(int argc, char** argv, Options& opt) {
+  std::string val;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const util::Flag f(arg);
+    if (f.text("--spec", opt.spec_path) || f.text("--spec-out", opt.spec_out) ||
+        f.text("--report", opt.report_path) || f.text("--trace", opt.trace_path) ||
+        f.text("--plan", opt.plan_path) || f.text("--asm", opt.asm_files) ||
+        f.number("--jobs", opt.jobs) || f.number("--seed", opt.seed) ||
+        f.number("--interarrival", opt.interarrival) ||
+        f.number("--queue", opt.queue) || f.fraction("--remote-frac", opt.remote_frac) ||
+        f.fraction("--pipelines", opt.pipelines) ||
+        f.shape("--chips", opt.chip_rows, opt.chip_cols)) {
+      continue;
+    }
+    if (f.number("--watchdog", opt.watchdog)) {
+      opt.watchdog_set = true;
+    } else if (f.number("--parallel", opt.parallel)) {
+      if (opt.parallel == 0) throw util::ParseError("--parallel needs at least 1 worker");
+    } else if (f.shape("--asm-shape", opt.asm_rows, opt.asm_cols)) {
+      if (opt.asm_rows > 8 || opt.asm_cols > 8) {
+        throw util::ParseError("--asm-shape must fit the 8x8 mesh");
+      }
+    } else if (f.text("--lint", val)) {
+      if (val == "off") opt.lint = sched::LintMode::Off;
+      else if (val == "warn") opt.lint = sched::LintMode::Warn;
+      else if (val == "strict") opt.lint = sched::LintMode::Strict;
+      else throw util::ParseError("--lint needs off|warn|strict");
+    } else if (arg == "--strict") {
+      opt.strict = true;
+    } else if (arg == "--log") {
+      opt.print_log = true;
+    } else if (arg == "--selftest") {
+      opt.selftest = true;
+    } else if (arg == "--verify-selftest") {
+      opt.verify_selftest = true;
+    } else {
+      throw util::ParseError("unknown argument '" + std::string(arg) +
+                             "' (see the header of tools/epi_serve.cpp)");
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  std::string val;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (value_flag(arg, "--spec", opt.spec_path) ||
-        value_flag(arg, "--spec-out", opt.spec_out) ||
-        value_flag(arg, "--report", opt.report_path) ||
-        value_flag(arg, "--trace", opt.trace_path) ||
-        value_flag(arg, "--plan", opt.plan_path)) {
-      continue;
-    }
-    if (value_flag(arg, "--watchdog", val)) {
-      opt.watchdog = std::stoull(val);
-      opt.watchdog_set = true;
-      continue;
-    }
-    if (arg == "--strict") { opt.strict = true; continue; }
-    if (value_flag(arg, "--jobs", val)) { opt.jobs = static_cast<unsigned>(std::stoul(val)); continue; }
-    if (value_flag(arg, "--seed", val)) { opt.seed = std::stoull(val); continue; }
-    if (value_flag(arg, "--interarrival", val)) { opt.interarrival = std::stoull(val); continue; }
-    if (value_flag(arg, "--queue", val)) { opt.queue = std::stoul(val); continue; }
-    if (arg == "--log") { opt.print_log = true; continue; }
-    if (arg == "--selftest") { opt.selftest = true; continue; }
-    if (arg == "--verify-selftest") { opt.verify_selftest = true; continue; }
-    if (value_flag(arg, "--lint", val)) {
-      if (val == "off") opt.lint = sched::LintMode::Off;
-      else if (val == "warn") opt.lint = sched::LintMode::Warn;
-      else if (val == "strict") opt.lint = sched::LintMode::Strict;
-      else {
-        std::fprintf(stderr, "epi_serve: --lint needs off|warn|strict\n");
-        return 2;
-      }
-      continue;
-    }
-    if (value_flag(arg, "--chips", val)) {
-      const auto x = val.find('x');
-      try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        opt.chip_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        opt.chip_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "epi_serve: --chips needs RxC (e.g. 2x2)\n");
-        return 2;
-      }
-      if (opt.chip_rows == 0 || opt.chip_cols == 0) {
-        std::fprintf(stderr, "epi_serve: --chips needs a non-empty grid\n");
-        return 2;
-      }
-      continue;
-    }
-    if (value_flag(arg, "--parallel", val)) {
-      opt.parallel = static_cast<unsigned>(std::stoul(val));
-      if (opt.parallel == 0) opt.parallel = 1;
-      continue;
-    }
-    if (value_flag(arg, "--remote-frac", val)) {
-      opt.remote_frac = std::stod(val);
-      continue;
-    }
-    if (value_flag(arg, "--pipelines", val)) {
-      opt.pipelines = std::stod(val);
-      if (opt.pipelines < 0.0 || opt.pipelines > 1.0) {
-        std::fprintf(stderr, "epi_serve: --pipelines needs a fraction in [0,1]\n");
-        return 2;
-      }
-      continue;
-    }
-    if (value_flag(arg, "--asm", opt.asm_files)) continue;
-    if (value_flag(arg, "--asm-shape", val)) {
-      const auto x = val.find('x');
-      try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        opt.asm_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        opt.asm_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "epi_serve: --asm-shape needs RxC (e.g. 2x2)\n");
-        return 2;
-      }
-      if (opt.asm_rows == 0 || opt.asm_cols == 0 || opt.asm_rows > 8 ||
-          opt.asm_cols > 8) {
-        std::fprintf(stderr, "epi_serve: --asm-shape must fit the 8x8 mesh\n");
-        return 2;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "epi_serve: unknown argument '%s' (see the header of tools/epi_serve.cpp)\n",
-                 std::string(arg).c_str());
+  try {
+    parse_args(argc, argv, opt);
+  } catch (const util::ParseError& e) {
+    std::fprintf(stderr, "epi_serve: %s\n", e.what());
     return 2;
   }
 

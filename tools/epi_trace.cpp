@@ -22,7 +22,6 @@
 //   --reps=N       repetitions for dma/direct (default 16)
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,6 +34,7 @@
 #include "trace/export.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -60,44 +60,33 @@ int usage() {
   return 2;
 }
 
-bool value_of(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  std::string v;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (value_of(arg, "--trace", v)) {
-      opt.trace_path = v;
-    } else if (value_of(arg, "--csv", v)) {
-      opt.csv_path = v;
-    } else if (value_of(arg, "--top", v)) {
-      opt.top = static_cast<unsigned>(std::atoi(v.c_str()));
-    } else if (value_of(arg, "--window", v)) {
-      opt.window = std::atof(v.c_str());
-    } else if (value_of(arg, "--bytes", v)) {
-      opt.bytes = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (value_of(arg, "--reps", v)) {
-      opt.reps = static_cast<unsigned>(std::atoi(v.c_str()));
-    } else if (arg == "--profile") {
-      opt.profile = true;
-    } else if (arg.substr(0, 2) == "--") {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      return usage();
-    } else if (opt.scenario.empty()) {
-      opt.scenario = std::string(arg);
-    } else {
-      return usage();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const util::Flag f(arg);
+      if (f.text("--trace", opt.trace_path) || f.text("--csv", opt.csv_path) ||
+          f.number("--top", opt.top) || f.number("--window", opt.window) ||
+          f.number("--bytes", opt.bytes) || f.number("--reps", opt.reps)) {
+        continue;
+      }
+      if (arg == "--profile") {
+        opt.profile = true;
+      } else if (arg.substr(0, 2) == "--") {
+        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        return usage();
+      } else if (opt.scenario.empty()) {
+        opt.scenario = std::string(arg);
+      } else {
+        return usage();
+      }
     }
+  } catch (const util::ParseError& e) {
+    std::fprintf(stderr, "epi_trace: %s\n", e.what());
+    return 2;
   }
   if (opt.scenario.empty()) return usage();
 
