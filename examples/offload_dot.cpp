@@ -1,7 +1,7 @@
 // The offload programming model in action (the paper's section-IX call for
 // "familiar programming models such as OpenCL"): a dot product computed as
 // an element-wise multiply distributed over the 8x8 workgroup followed by
-// a combining-tree reduction across the mesh -- no explicit kernels, flags
+// shmem's binomial reduction across the mesh -- no explicit kernels, flags
 // or DMA descriptors in user code.
 
 #include <cstdio>
@@ -43,8 +43,7 @@ int main() {
       {&x, &y, &prod});
 
   sim::Cycles t_reduce = 0;
-  const float dev = q.reduce(
-      prod, n, 0.0f, [](float a, float b) { return a + b; }, 1.0, &t_reduce);
+  const float dev = q.reduce(prod, n, shmem::ReduceOp::Sum, 1.0, &t_reduce);
 
   const double host =
       std::inner_product(xs.begin(), xs.end(), ys.begin(), 0.0);

@@ -52,14 +52,18 @@ fi
 echo "== ThreadSanitizer build (PDES executor) =="
 # TSan checks the genuinely multi-threaded code: the SPSC channels, the
 # window barrier, and the cluster executor. The sim/parallel test binaries
-# cover the synchronisation paths; the epi_serve cluster selftest then runs
-# a real multi-chip serve at several worker counts under TSan.
+# cover the synchronisation paths; epi_serve then serves a real multi-chip
+# workload at several worker counts under TSan, and the reports must match.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEPI_SANITIZE=tsan
 cmake --build build-tsan -j "${JOBS}"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     -R '(Parallel|Cluster|Spsc|Engine|Determinism)' "$@"
-./build-tsan/tools/epi_serve --chips=2x2 --jobs=6 --parallel=4 --selftest \
-    > /dev/null
+for w in 1 2 4; do
+  ./build-tsan/tools/epi_serve --chips=2x2 --jobs=6 --parallel="${w}" \
+      --report="build-tsan/cluster-report.${w}" > /dev/null
+done
+cmp build-tsan/cluster-report.1 build-tsan/cluster-report.2
+cmp build-tsan/cluster-report.1 build-tsan/cluster-report.4
 # And the same under chip-level chaos: the failover stack (heartbeats,
 # quarantine, re-forwarding) exchanges cross-domain messages every window,
 # so it runs under TSan at several worker counts too.

@@ -1,10 +1,10 @@
 #pragma once
 // Seeded-defect (and clean-twin) workgroup fixtures for the whole-group
-// verifier. Shared between the unit tests, the epi_lint/epi_serve
-// selftests, and the benchmark suite so every layer exercises the same
-// defects: the paper's Listing-1/2 read-after-remote-write race, barrier
-// participation mismatches, circular flag-wait chains, out-of-workgroup
-// stores, and DMA descriptors that overflow the 32 KB scratchpad.
+// verifier. Shared between the verifier tests and the scheduler's
+// admission-gate tests so both layers exercise the same defects: the
+// paper's Listing-1/2 read-after-remote-write race, barrier participation
+// mismatches, circular flag-wait chains, out-of-workgroup stores, and DMA
+// descriptors that overflow the 32 KB scratchpad.
 
 #include <cstdint>
 #include <string>

@@ -4,80 +4,38 @@ namespace epi::offload {
 
 namespace {
 
-using arch::Addr;
-using sim::Cycles;
-
-/// Cost model for one combine hop: the receiver folds one float (a couple
-/// of FPU cycles) after the partner's value and flag have landed.
-constexpr Cycles kCombineCycles = 4;
-
-sim::Op<void> reduce_kernel(device::CoreCtx& ctx, const Buffer b, std::size_t n,
-                            std::function<float(float, float)> op, float init,
-                            double cpe, unsigned cores, unsigned cols,
-                            std::uint32_t gen) {
-  const unsigned me = ctx.group_index();
-  auto out = ctx.local_array<float>(Queue::kReduceOut, 1);
-
-  // Stage 1: local fold over my stripe.
-  const std::size_t stripe = (n + cores - 1) / cores;
-  const std::size_t first = static_cast<std::size_t>(me) * stripe;
-  float acc = init;
+sim::Op<void> fold_then_reduce(device::CoreCtx& ctx, shmem::Group& group, const Buffer b,
+                            std::size_t n, shmem::ReduceOp op, double cpe,
+                            float& result) {
+  shmem::Pe pe(ctx, group);
+  // Local fold over my stripe.
+  const std::size_t stripe = (n + pe.n_pes() - 1) / pe.n_pes();
+  const std::size_t first = static_cast<std::size_t>(pe.my_pe()) * stripe;
+  float acc = shmem::identity(op);
   if (first < n) {
     const std::size_t count = std::min(stripe, n - first);
-    co_await ctx.compute(static_cast<Cycles>(cpe * static_cast<double>(count) + 0.5));
-    auto mine = ctx.local_array<float>(b.offset(), count);
-    for (float v : mine) acc = op(acc, v);
+    co_await ctx.compute(static_cast<sim::Cycles>(cpe * static_cast<double>(count) + 0.5));
+    for (float v : ctx.local_array<float>(b.offset(), count)) acc = shmem::combine(op, acc, v);
   }
-  out[0] = acc;
-
-  // Stage 2: binary combining tree over the linear group index. At level
-  // l (step 2^l), cores with index k = m * 2^(l+1) receive from k + 2^l;
-  // senders push their partial + flag into the receiver's level-l scratch
-  // and retire. Per-level slots keep deep senders from clobbering partials
-  // a receiver has not folded yet.
-  unsigned level = 0;
-  for (unsigned step = 1; step < cores; step *= 2, ++level) {
-    if (me % (2 * step) != 0) {
-      const unsigned peer = me - step;
-      const arch::CoreCoord dst{ctx.group().origin.row + peer / cols,
-                                ctx.group().origin.col + peer % cols};
-      co_await ctx.write_f32(ctx.global(dst, Queue::kReduceSlots + 4 * level), out[0]);
-      co_await ctx.write_u32(ctx.global(dst, Queue::kReduceFlags + 4 * level), gen + 1);
-      co_return;  // this core's role in the tree is done
-    }
-    if (me + step < cores) {
-      co_await ctx.wait_u32_ge(ctx.my_global(Queue::kReduceFlags + 4 * level), gen + 1);
-      co_await ctx.compute(kCombineCycles);
-      auto slot = ctx.local_array<float>(Queue::kReduceSlots + 4 * level, 1);
-      out[0] = op(out[0], slot[0]);
-    }
-  }
+  acc = co_await pe.reduce_f32(op, acc);
+  if (pe.my_pe() == 0) result = acc;
 }
 
 }  // namespace
 
-float Queue::reduce(const Buffer& b, std::size_t n, float init,
-                    std::function<float(float, float)> op, double cycles_per_elem,
-                    sim::Cycles* cycles_out) {
+float Queue::reduce(const Buffer& b, std::size_t n, shmem::ReduceOp op,
+                    double cycles_per_elem, sim::Cycles* cycles_out) {
   if (b.size() < n) throw std::invalid_argument("buffer smaller than the reduce range");
-  auto wg = sys_->open(origin_row_, origin_col_, rows_, cols_);
-  // Distinct flag generation per reduce.
-  const std::uint32_t gen = reduce_gen_++;
-  for (unsigned k = 0; k < cores(); ++k) {
-    auto& ctx = wg.ctx(k / cols_, k % cols_);
-    for (unsigned l = 0; l < kMaxReduceLevels; ++l) {
-      sys_->machine().mem().write_value<std::uint32_t>(
-          ctx.my_global(kReduceFlags + 4 * l), gen, ctx.coord());
-    }
-  }
-  wg.load([&, n, init, cycles_per_elem, gen](device::CoreCtx& ctx) -> sim::Op<void> {
-    return reduce_kernel(ctx, b, n, op, init, cycles_per_elem, cores(), cols_, gen);
+  auto wg = open();
+  // Every kernel's Pe restarts its flag generations at 1, so the previous
+  // reduce's flags must not survive to release this one early.
+  group_.reset_runtime_words();
+  float result = 0.0f;
+  wg.load([&, n, op, cycles_per_elem](device::CoreCtx& ctx) -> sim::Op<void> {
+    return fold_then_reduce(ctx, group_, b, n, op, cycles_per_elem, result);
   });
   const sim::Cycles cycles = wg.run();
   if (cycles_out) *cycles_out = cycles;
-  float result = 0.0f;
-  sys_->read(wg.ctx(0, 0).my_global(kReduceOut),
-             std::as_writable_bytes(std::span<float, 1>(&result, 1)));
   return result;
 }
 

@@ -5,19 +5,19 @@
 // recently launched OpenMP Accelerator model for the Epiphany is of great
 // interest", section IX).
 //
-// The model is deliberately small but genuine:
+// The model is deliberately small but genuine, and layered over the shmem
+// PGAS runtime the way Richie & Ross layer OpenCL over OpenSHMEM
+// (arXiv:1608.03549):
 //   * Buffer: a 1D float array striped across the workgroup's scratchpads
-//     (core k holds elements [k*stripe, (k+1)*stripe));
+//     (core k holds elements [k*stripe, (k+1)*stripe)), allocated from the
+//     queue's shmem symmetric heap, so it sits at the same offset on every
+//     core;
 //   * Queue::parallel_for: every core applies a host-provided body to its
 //     stripe chunks, charged at a caller-declared cycles-per-element rate
 //     (the analogue of an OpenCL NDRange over local memory);
-//   * Queue::reduce: a per-core local fold followed by a binary combining
-//     tree over the mesh, synchronised with the same remote-flag idiom the
-//     paper's kernels use -- partials hop between scratchpads, so the
-//     reduction genuinely pays mesh latencies.
-//
-// Buffers occupy a bump-allocated heap at the same offset on every core
-// (0x4000-0x7BFF), so a buffer is addressed identically everywhere.
+//   * Queue::reduce: a per-core local fold followed by shmem's binomial
+//     reduction onto core 0 -- partials hop between scratchpads behind flag
+//     waits, so the reduction genuinely pays mesh latencies.
 
 #include <cstdint>
 #include <functional>
@@ -26,32 +26,11 @@
 #include <vector>
 
 #include "host/system.hpp"
+#include "shmem/shmem.hpp"
 
 namespace epi::offload {
 
 class Queue;
-
-/// Thrown when the per-core offload heap (0x4000-0x7BFF) cannot satisfy an
-/// allocation. Subclasses std::bad_alloc (existing callers keep working) but
-/// reports the requested and remaining sizes instead of a bare "bad_alloc".
-class HeapExhausted : public std::bad_alloc {
-public:
-  HeapExhausted(std::size_t requested, std::size_t available)
-      : requested_(requested),
-        available_(available),
-        msg_("offload heap exhausted: requested " + std::to_string(requested) +
-             " bytes per core but only " + std::to_string(available) +
-             " of the 0x4000-0x7BFF heap remain (release_all() frees it)") {}
-
-  [[nodiscard]] const char* what() const noexcept override { return msg_.c_str(); }
-  [[nodiscard]] std::size_t requested() const noexcept { return requested_; }
-  [[nodiscard]] std::size_t available() const noexcept { return available_; }
-
-private:
-  std::size_t requested_;
-  std::size_t available_;
-  std::string msg_;
-};
 
 /// A device-resident float array, striped across the queue's cores.
 class Buffer {
@@ -71,67 +50,47 @@ private:
 
 class Queue {
 public:
-  // Device heap available to offload buffers on each core.
+  // The symmetric heap holding offload buffers on each core.
   static constexpr arch::Addr kHeapBase = 0x4000;
   static constexpr arch::Addr kHeapEnd = 0x7C00;
-  // Reduction scratch (outside the heap). Each tree level gets its own
-  // slot+flag pair: a deep sender must not clobber a partial a receiver
-  // has not yet folded.
-  static constexpr arch::Addr kReduceSlots = 0x7C00;  // one float per level
-  static constexpr arch::Addr kReduceFlags = 0x7C20;  // one u32 per level
-  static constexpr arch::Addr kReduceOut = 0x7C40;    // per-core local fold
-  static constexpr unsigned kMaxReduceLevels = 8;     // up to 2^8 cores
 
   /// A queue over the rows x cols workgroup whose top-left core sits at
-  /// (origin_row, origin_col) -- the serving runtime places queues anywhere
-  /// on the mesh; standalone use keeps the origin default of (0,0).
+  /// (origin_row, origin_col); standalone use keeps the default of (0,0).
   Queue(host::System& sys, unsigned rows, unsigned cols, unsigned origin_row = 0,
         unsigned origin_col = 0)
-      : sys_(&sys), origin_row_(origin_row), origin_col_(origin_col), rows_(rows),
-        cols_(cols) {
-    if (rows == 0 || cols == 0 || origin_row + rows > sys.machine().dims().rows ||
-        origin_col + cols > sys.machine().dims().cols) {
-      throw std::out_of_range("offload queue does not fit the mesh");
-    }
-  }
+      : sys_(&sys),
+        group_(sys.machine(), fit(sys, {{origin_row, origin_col}, rows, cols}),
+               {kHeapBase, kHeapEnd}) {}
 
-  [[nodiscard]] unsigned cores() const noexcept { return rows_ * cols_; }
+  [[nodiscard]] unsigned cores() const noexcept { return group_.n_pes(); }
 
-  /// Allocate a striped device buffer of `n` floats. Throws HeapExhausted
-  /// (a std::bad_alloc) naming the requested and remaining sizes when the
-  /// per-core heap cannot hold another stripe.
+  /// Allocate a striped device buffer of `n` floats. Throws
+  /// shmem::HeapExhausted (a std::bad_alloc) naming the requested and
+  /// remaining sizes when the per-core heap cannot hold another stripe.
   [[nodiscard]] Buffer alloc(std::size_t n) {
     const std::size_t stripe = (n + cores() - 1) / cores();
-    const std::size_t bytes = (stripe * sizeof(float) + 7) / 8 * 8;
-    const std::size_t capacity = kHeapEnd - kHeapBase;
-    if (brk_ + bytes > capacity) {
-      throw HeapExhausted(stripe * sizeof(float), capacity - brk_);
-    }
-    const arch::Addr off = kHeapBase + static_cast<arch::Addr>(brk_);
-    brk_ += bytes;
-    return Buffer(off, n, stripe);
+    return Buffer(group_.heap().alloc(stripe * sizeof(float)), n, stripe);
   }
 
   /// Free every buffer at once (a bump allocator cannot free piecemeal).
-  /// Outstanding Buffer handles are invalidated; the scheduler calls this
-  /// between jobs to reuse one queue's heap across a whole job stream.
-  void release_all() noexcept { brk_ = 0; }
-  void reset() noexcept { release_all(); }
+  /// Outstanding Buffer handles are invalidated.
+  void release_all() noexcept { group_.heap().reset(); }
 
   /// Bytes of per-core heap still available to alloc().
   [[nodiscard]] std::size_t heap_available() const noexcept {
-    return (kHeapEnd - kHeapBase) - brk_;
+    return group_.heap().capacity() - group_.heap().used();
   }
 
   /// Host -> device: scatter `src` into the buffer's stripes.
   void write(const Buffer& b, std::span<const float> src) {
     if (src.size() != b.size()) throw std::invalid_argument("offload write size mismatch");
-    auto wg = sys_->open(origin_row_, origin_col_, rows_, cols_);
+    auto wg = open();
+    const unsigned cols = group_.info().cols;
     for (unsigned k = 0; k < cores(); ++k) {
       const std::size_t first = static_cast<std::size_t>(k) * b.stripe();
       if (first >= src.size()) break;
       const std::size_t count = std::min(b.stripe(), src.size() - first);
-      sys_->write_array<float>(wg.ctx(k / cols_, k % cols_).my_global(b.offset()),
+      sys_->write_array<float>(wg.ctx(k / cols, k % cols).my_global(b.offset()),
                                src.subspan(first, count));
     }
   }
@@ -139,12 +98,13 @@ public:
   /// Device -> host: gather the buffer's stripes into `dst`.
   void read(const Buffer& b, std::span<float> dst) {
     if (dst.size() != b.size()) throw std::invalid_argument("offload read size mismatch");
-    auto wg = sys_->open(origin_row_, origin_col_, rows_, cols_);
+    auto wg = open();
+    const unsigned cols = group_.info().cols;
     for (unsigned k = 0; k < cores(); ++k) {
       const std::size_t first = static_cast<std::size_t>(k) * b.stripe();
       if (first >= dst.size()) break;
       const std::size_t count = std::min(b.stripe(), dst.size() - first);
-      sys_->read_array<float>(wg.ctx(k / cols_, k % cols_).my_global(b.offset()),
+      sys_->read_array<float>(wg.ctx(k / cols, k % cols).my_global(b.offset()),
                               dst.subspan(first, count));
     }
   }
@@ -163,7 +123,7 @@ public:
     for (const Buffer* b : buffers) {
       if (b->size() < n) throw std::invalid_argument("buffer smaller than the range");
     }
-    auto wg = sys_->open(origin_row_, origin_col_, rows_, cols_);
+    auto wg = open();
     const std::size_t stripe = (n + cores() - 1) / cores();
     std::vector<const Buffer*> bufs(buffers);
     wg.load([&, stripe, n, cycles_per_elem](device::CoreCtx& ctx) -> sim::Op<void> {
@@ -185,22 +145,28 @@ public:
     return wg.run();
   }
 
-  /// Reduce the first `n` elements of `b` with `op` (associative,
-  /// commutative): local folds, then a binary combining tree over the mesh
-  /// using remote stores and flag waits. Returns the result and, via
-  /// `cycles_out`, the device time.
-  float reduce(const Buffer& b, std::size_t n, float init,
-               std::function<float(float, float)> op, double cycles_per_elem,
+  /// Reduce the first `n` elements of `b` with `op`: local folds, then
+  /// shmem's binomial reduction onto core 0 over the mesh. Returns the
+  /// result and, via `cycles_out`, the device time.
+  float reduce(const Buffer& b, std::size_t n, shmem::ReduceOp op, double cycles_per_elem,
                sim::Cycles* cycles_out = nullptr);
 
 private:
+  static device::GroupInfo fit(host::System& sys, device::GroupInfo info) {
+    if (info.rows == 0 || info.cols == 0 ||
+        info.origin.row + info.rows > sys.machine().dims().rows ||
+        info.origin.col + info.cols > sys.machine().dims().cols) {
+      throw std::out_of_range("offload queue does not fit the mesh");
+    }
+    return info;
+  }
+  [[nodiscard]] host::Workgroup open() {
+    const device::GroupInfo& g = group_.info();
+    return sys_->open(g.origin.row, g.origin.col, g.rows, g.cols);
+  }
+
   host::System* sys_;
-  unsigned origin_row_;
-  unsigned origin_col_;
-  unsigned rows_;
-  unsigned cols_;
-  std::size_t brk_ = 0;
-  std::uint32_t reduce_gen_ = 0;
+  shmem::Group group_;
 };
 
 }  // namespace epi::offload

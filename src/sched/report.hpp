@@ -2,8 +2,8 @@
 // Serving-run accounting: percentile summaries, per-tenant aggregation, and
 // the deterministic text report epi_serve prints. Everything here is a pure
 // function of the scheduler's JobRecords (plus makespan/utilisation), so two
-// same-seed runs render byte-identical reports -- the CLI's --selftest and
-// the ctest determinism check compare these bytes directly.
+// same-seed runs render byte-identical reports -- the ctest determinism
+// checks and CI's two-run `cmp` compare these bytes directly.
 
 #include <string>
 #include <vector>

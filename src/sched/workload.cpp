@@ -3,6 +3,7 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 
 #include "sched/dag.hpp"
@@ -161,6 +162,7 @@ std::string save(const std::vector<JobSpec>& jobs) {
 
 std::vector<JobSpec> load(std::istream& in, const std::string& source) {
   std::vector<JobSpec> jobs;
+  std::vector<unsigned> line_of;  // source line of each job
   util::for_each_line(in, source, [&](const util::Line& line) {
     if (line.directive() != "job") {
       throw line.error("expected 'job', got '" + std::string(line.directive()) + "'");
@@ -217,7 +219,20 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
       throw line.error("deps require a nonzero graph id");
     }
     jobs.push_back(std::move(s));
+    line_of.push_back(line.number());
   });
+  // A dep on a job the file does not hold would stall the scheduler forever.
+  std::set<std::pair<std::uint32_t, std::uint32_t>> graph_jobs;  // (graph, id)
+  for (const JobSpec& s : jobs) graph_jobs.emplace(s.graph, s.id);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (const auto& dep : jobs[i].deps) {
+      if (!graph_jobs.contains({jobs[i].graph, dep.first})) {
+        throw util::error_at(source, line_of[i],
+                             "dep " + std::to_string(dep.first) + " names no job of graph " +
+                                 std::to_string(jobs[i].graph));
+      }
+    }
+  }
   return jobs;
 }
 

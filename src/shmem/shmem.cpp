@@ -1,13 +1,14 @@
 #include "shmem/shmem.hpp"
 
-#include <bit>
 #include <algorithm>
-#include <new>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "dma/descriptor.hpp"
 #include "mem/memory_system.hpp"
 #include "trace/tracer.hpp"
+#include "util/fmt.hpp"
 
 namespace epi::shmem {
 
@@ -23,18 +24,11 @@ using arch::Addr;
 
 [[nodiscard]] unsigned lowbit(unsigned x) noexcept { return x & (~x + 1u); }
 
-[[nodiscard]] std::uint32_t combine(ReduceOp op, bool is_float, std::uint32_t a,
-                                    std::uint32_t b) noexcept {
+[[nodiscard]] std::uint32_t combine_bits(ReduceOp op, bool is_float, std::uint32_t a,
+                                         std::uint32_t b) noexcept {
   if (is_float) {
-    const float x = std::bit_cast<float>(a);
-    const float y = std::bit_cast<float>(b);
-    float r = 0.0f;
-    switch (op) {
-      case ReduceOp::Sum: r = x + y; break;
-      case ReduceOp::Min: r = std::min(x, y); break;
-      case ReduceOp::Max: r = std::max(x, y); break;
-    }
-    return std::bit_cast<std::uint32_t>(r);
+    return std::bit_cast<std::uint32_t>(
+        combine(op, std::bit_cast<float>(a), std::bit_cast<float>(b)));
   }
   const auto x = std::bit_cast<std::int32_t>(a);
   const auto y = std::bit_cast<std::int32_t>(b);
@@ -49,7 +43,34 @@ using arch::Addr;
 
 }  // namespace
 
+float combine(ReduceOp op, float a, float b) noexcept {
+  switch (op) {
+    case ReduceOp::Sum: return a + b;
+    case ReduceOp::Min: return std::min(a, b);
+    case ReduceOp::Max: return std::max(a, b);
+  }
+  return a;
+}
+
+float identity(ReduceOp op) noexcept {
+  switch (op) {
+    case ReduceOp::Min: return std::numeric_limits<float>::infinity();
+    case ReduceOp::Max: return -std::numeric_limits<float>::infinity();
+    case ReduceOp::Sum: break;
+  }
+  return 0.0f;
+}
+
 // ---- SymmetricHeap --------------------------------------------------------
+
+HeapExhausted::HeapExhausted(std::size_t requested, std::size_t available, Addr base,
+                             Addr end)
+    : requested_(requested),
+      available_(available),
+      msg_(util::format("symmetric heap exhausted: requested %zu bytes per PE but only "
+                        "%zu of the 0x%X-0x%X heap remain",
+                        requested, available, static_cast<unsigned>(base),
+                        static_cast<unsigned>(end - 1))) {}
 
 SymmetricHeap::SymmetricHeap(Addr base, Addr end) : base_(base), end_(end), top_(base) {
   if (base >= end || end > arch::AddressMap::kLocalMemBytes) {
@@ -60,14 +81,15 @@ SymmetricHeap::SymmetricHeap(Addr base, Addr end) : base_(base), end_(end), top_
   }
 }
 
-Addr SymmetricHeap::alloc(std::uint32_t bytes, std::uint32_t align) {
+Addr SymmetricHeap::alloc(std::size_t bytes, std::uint32_t align) {
   if (bytes == 0) throw std::invalid_argument("shmem_malloc of zero bytes");
   if (align == 0 || (align & (align - 1)) != 0) {
     throw std::invalid_argument("shmem_malloc alignment must be a power of two");
   }
   const Addr at = (top_ + align - 1) & ~static_cast<Addr>(align - 1);
-  if (at + bytes > end_) throw std::bad_alloc{};
-  top_ = at + bytes;
+  const std::size_t available = end_ - std::min(at, end_);
+  if (bytes > available) throw HeapExhausted(bytes, available, base_, end_);
+  top_ = at + static_cast<Addr>(bytes);
   return at;
 }
 
@@ -295,17 +317,15 @@ sim::Op<void> Pe::broadcast(unsigned root, Addr sym_off, std::uint32_t bytes) {
   }
 }
 
-sim::Op<std::uint32_t> Pe::allreduce_bits(ReduceOp op, bool is_float,
-                                          std::uint32_t bits) {
+sim::Op<std::uint32_t> Pe::reduce_up(ReduceOp op, bool is_float, std::uint32_t bits) {
   const unsigned n = n_pes();
   const unsigned me = my_pe();
   const std::uint32_t gen = ++reduce_gen_;
   std::uint32_t acc = bits;
   group_->note_reduction();
-  if (n <= 1) co_return acc;
-  // Up-sweep: binomial tree onto PE 0. A child parks its partial in the
-  // parent's per-round slot, then raises the round flag; the parent's
-  // flag-wait is the acquire edge covering the slot read.
+  // Binomial tree onto PE 0. A child parks its partial in the parent's
+  // per-round slot, then raises the round flag; the parent's flag-wait is
+  // the acquire edge covering the slot read.
   for (unsigned step = 1, r = 0; step < n; step <<= 1, ++r) {
     if (r >= kMaxRounds) throw std::logic_error("shmem reduce: group too large");
     if ((me & step) != 0) {
@@ -318,10 +338,18 @@ sim::Op<std::uint32_t> Pe::allreduce_bits(ReduceOp op, bool is_float,
       co_await ctx_->wait_u32_ge(ctx_->my_global(kReduceFlags + 4 * r), gen);
       const std::uint32_t other =
           co_await ctx_->read_u32(ctx_->my_global(kReduceSlots + 8 * r));
-      acc = combine(op, is_float, acc, other);
+      acc = combine_bits(op, is_float, acc, other);
     }
   }
-  // Down-sweep: binomial broadcast of the combined value from PE 0.
+  co_return acc;
+}
+
+sim::Op<std::uint32_t> Pe::reduce_down(std::uint32_t bits) {
+  // Binomial broadcast of PE 0's value, under the up-sweep's generation.
+  const unsigned n = n_pes();
+  const unsigned me = my_pe();
+  const std::uint32_t gen = reduce_gen_;
+  std::uint32_t acc = bits;
   if (me != 0) {
     co_await ctx_->wait_u32_ge(ctx_->my_global(kResultFlag), gen);
     acc = co_await ctx_->read_u32(ctx_->my_global(kResultSlot));
@@ -335,6 +363,11 @@ sim::Op<std::uint32_t> Pe::allreduce_bits(ReduceOp op, bool is_float,
   co_return acc;
 }
 
+sim::Op<std::uint32_t> Pe::allreduce_bits(ReduceOp op, bool is_float,
+                                          std::uint32_t bits) {
+  co_return co_await reduce_down(co_await reduce_up(op, is_float, bits));
+}
+
 sim::Op<float> Pe::allreduce_f32(ReduceOp op, float v) {
   co_return std::bit_cast<float>(
       co_await allreduce_bits(op, true, std::bit_cast<std::uint32_t>(v)));
@@ -343,6 +376,10 @@ sim::Op<float> Pe::allreduce_f32(ReduceOp op, float v) {
 sim::Op<std::int32_t> Pe::allreduce_i32(ReduceOp op, std::int32_t v) {
   co_return std::bit_cast<std::int32_t>(
       co_await allreduce_bits(op, false, std::bit_cast<std::uint32_t>(v)));
+}
+
+sim::Op<float> Pe::reduce_f32(ReduceOp op, float v) {
+  co_return std::bit_cast<float>(co_await reduce_up(op, true, std::bit_cast<std::uint32_t>(v)));
 }
 
 }  // namespace epi::shmem

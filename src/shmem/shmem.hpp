@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <string>
 
 #include "arch/address_map.hpp"
 #include "arch/coords.hpp"
@@ -64,6 +66,23 @@ struct Config {
   std::uint32_t dma_threshold = 256;
 };
 
+/// Thrown when a SymmetricHeap cannot satisfy an allocation. A
+/// std::bad_alloc that names the requested and remaining bytes per PE.
+class HeapExhausted : public std::bad_alloc {
+public:
+  HeapExhausted(std::size_t requested, std::size_t available, arch::Addr base,
+                arch::Addr end);
+
+  [[nodiscard]] const char* what() const noexcept override { return msg_.c_str(); }
+  [[nodiscard]] std::size_t requested() const noexcept { return requested_; }
+  [[nodiscard]] std::size_t available() const noexcept { return available_; }
+
+private:
+  std::size_t requested_;
+  std::size_t available_;
+  std::string msg_;
+};
+
 /// Host-side bump allocator handing out offsets that are valid on *every*
 /// PE's scratchpad (shmem_malloc). Deterministic: allocation order alone
 /// decides placement.
@@ -71,9 +90,9 @@ class SymmetricHeap {
 public:
   SymmetricHeap(arch::Addr base, arch::Addr end);
 
-  /// Allocate `bytes` at `align` (power of two). Throws std::bad_alloc on
+  /// Allocate `bytes` at `align` (power of two). Throws HeapExhausted on
   /// exhaustion, std::invalid_argument on a bad alignment or zero size.
-  [[nodiscard]] arch::Addr alloc(std::uint32_t bytes, std::uint32_t align = 8);
+  [[nodiscard]] arch::Addr alloc(std::size_t bytes, std::uint32_t align = 8);
   void reset() noexcept { top_ = base_; }
 
   [[nodiscard]] arch::Addr base() const noexcept { return base_; }
@@ -107,6 +126,7 @@ public:
   [[nodiscard]] const device::GroupInfo& info() const noexcept { return info_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] SymmetricHeap& heap() noexcept { return heap_; }
+  [[nodiscard]] const SymmetricHeap& heap() const noexcept { return heap_; }
   [[nodiscard]] unsigned n_pes() const noexcept { return info_.size(); }
   [[nodiscard]] arch::CoreCoord coord_of(unsigned pe) const noexcept {
     return {info_.origin.row + pe / info_.cols, info_.origin.col + pe % info_.cols};
@@ -145,6 +165,10 @@ private:
 };
 
 enum class ReduceOp : std::uint8_t { Sum, Min, Max };
+
+/// `a op b`, and the value `x` for which `x op v == v`.
+[[nodiscard]] float combine(ReduceOp op, float a, float b) noexcept;
+[[nodiscard]] float identity(ReduceOp op) noexcept;
 
 /// Per-PE handle a kernel constructs on its coroutine frame: identity,
 /// addressing, one-sided puts/gets and the collectives. Generation counters
@@ -199,11 +223,16 @@ public:
   /// Binomial-tree all-reduce; every PE returns the combined value.
   sim::Op<float> allreduce_f32(ReduceOp op, float v);
   sim::Op<std::int32_t> allreduce_i32(ReduceOp op, std::int32_t v);
+  /// The all-reduce's up-sweep alone: PE 0 returns the combined value, every
+  /// other PE its partial. No broadcast back.
+  sim::Op<float> reduce_f32(ReduceOp op, float v);
 
 private:
   sim::Op<void> dma_copy(arch::Addr dst, arch::Addr src, std::uint32_t bytes,
                          const dma::DmaDescriptor* chain);
   sim::Op<void> drain();  // wait out an outstanding non-blocking DMA
+  sim::Op<std::uint32_t> reduce_up(ReduceOp op, bool is_float, std::uint32_t bits);
+  sim::Op<std::uint32_t> reduce_down(std::uint32_t bits);
   sim::Op<std::uint32_t> allreduce_bits(ReduceOp op, bool is_float,
                                         std::uint32_t bits);
 

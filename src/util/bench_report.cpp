@@ -37,7 +37,13 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
 
 double BenchArgs::positional_double(std::size_t i, double fallback) const {
   if (i >= positional.size()) return fallback;
-  return std::atof(positional[i].c_str());
+  double v = 0.0;
+  if (parse_number(positional[i], v) != std::errc{}) {
+    std::cerr << bench << ": argument " << i + 1 << " '" << positional[i]
+              << "' needs a non-negative decimal\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 void BenchReport::metric(std::string name, double value) {

@@ -36,7 +36,8 @@ struct BenchArgs {
   [[nodiscard]] static BenchArgs parse(int argc, char** argv, std::string bench);
 
   [[nodiscard]] bool tracing() const noexcept { return !trace_path.empty(); }
-  /// Positional argument `i` as a double, or `fallback` when absent.
+  /// Positional argument `i` as a double, or `fallback` when absent. A
+  /// malformed value exits 2 with a message naming the argument.
   [[nodiscard]] double positional_double(std::size_t i, double fallback) const;
 };
 

@@ -58,8 +58,12 @@ void Line::tokenize(unsigned number, std::string_view text) {
   }
 }
 
+ParseError error_at(std::string_view source, unsigned line, const std::string& why) {
+  return ParseError(std::string(source) + ":" + std::to_string(line) + ": " + why);
+}
+
 ParseError Line::error(const std::string& why) const {
-  return ParseError(std::string(source_) + ":" + std::to_string(number_) + ": " + why);
+  return error_at(source_, number_, why);
 }
 
 ParseError Line::field_error(std::string_view key, const std::string& what) const {

@@ -31,6 +31,10 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// "source:line: why".
+[[nodiscard]] ParseError error_at(std::string_view source, unsigned line,
+                                  const std::string& why);
+
 /// Read `s` into `out` under the number rule above. `base` 16 reads bare
 /// hex digits, for a caller that strips its own documented `0x`. A
 /// floating-point T reads a finite, non-negative decimal such as 0.25.
@@ -84,8 +88,9 @@ class Line {
   /// Blank or comment-only.
   [[nodiscard]] bool empty() const noexcept { return directive_.empty(); }
   [[nodiscard]] std::string_view directive() const noexcept { return directive_; }
+  [[nodiscard]] unsigned number() const noexcept { return number_; }
 
-  /// "source:line: why".
+  /// error_at(source, number(), why).
   [[nodiscard]] ParseError error(const std::string& why) const;
 
   /// The single positional value of a `directive VALUE` line; throws unless

@@ -340,14 +340,42 @@ TEST(PipelineTraffic, SpecFileRoundTripsGraphFields) {
 }
 
 TEST(PipelineTraffic, LoadRejectsMalformedGraphFields) {
-  std::istringstream bad_dep("job id=1 kind=offload rows=1 cols=1 graph=1 "
-                             "stage=1 stages=2 deps=0x2048\n");
-  EXPECT_THROW((void)sched::load(bad_dep), std::runtime_error);
-  std::istringstream no_graph("job id=1 kind=offload rows=1 cols=1 deps=0:2048\n");
-  EXPECT_THROW((void)sched::load(no_graph), std::runtime_error);
-  std::istringstream bad_stage("job id=1 kind=offload rows=1 cols=1 graph=1 "
-                               "stage=2 stages=2\n");
-  EXPECT_THROW((void)sched::load(bad_stage), std::runtime_error);
+  struct Bad {
+    const char* text;
+    const char* where;
+    const char* says;
+  };
+  const Bad cases[] = {
+      {"job id=1 kind=offload rows=1 cols=1 graph=1 stage=1 stages=2 deps=0x2048\n",
+       "wl:1:", "is not id:bytes"},
+      {"job id=1 kind=offload rows=1 cols=1 deps=0:2048\n", "wl:1:",
+       "deps require a nonzero graph id"},
+      {"job id=1 kind=offload rows=1 cols=1 graph=1 stage=2 stages=2\n", "wl:1:",
+       "needs stage < stages"},
+      // A dep on an id the file never defines.
+      {"job id=0 kind=offload rows=1 cols=1 graph=1 stage=1 stages=2 deps=7:64\n",
+       "wl:1:", "dep 7 names no job of graph 1"},
+      // ...or on a job of another graph; the error names the consumer's line.
+      {"job id=0 kind=offload rows=1 cols=1 graph=2 stage=0 stages=2\n"
+       "job id=1 kind=offload rows=1 cols=1 graph=1 stage=1 stages=2 deps=0:64\n",
+       "wl:2:", "dep 0 names no job of graph 1"},
+  };
+  for (const Bad& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      (void)sched::load(in, "wl");
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind(c.where, 0), 0u) << msg;
+      EXPECT_NE(msg.find(c.says), std::string::npos) << msg;
+    }
+  }
+  // A consumer may name a producer on a later line.
+  std::istringstream forward(
+      "job id=1 kind=offload rows=1 cols=1 graph=1 stage=1 stages=2 deps=0:64\n"
+      "job id=0 kind=offload rows=1 cols=1 graph=1 stage=0 stages=2\n");
+  EXPECT_EQ(sched::load(forward, "wl").size(), 2u);
 }
 
 }  // namespace

@@ -122,6 +122,22 @@ TEST(FaultPlanParser, RoundTripsThroughText) {
   EXPECT_EQ(fault::save(fault::parse(in)), text);
 }
 
+TEST(FaultPlanGenerator, SameSeedIsByteIdenticalAndSeedMovesThePlan) {
+  fault::ChaosConfig cc;
+  cc.seed = 7;
+  cc.dims = {8, 8};
+  cc.core_kills = 2;
+  cc.core_stalls = 2;
+  cc.link_faults = 6;
+  cc.elink_outages = 2;
+  cc.elink_flips = 2;
+  cc.mem_flips = 2;
+  const std::string a = fault::save(fault::generate(cc));
+  EXPECT_EQ(fault::save(fault::generate(cc)), a);
+  cc.seed = 8;
+  EXPECT_NE(fault::save(fault::generate(cc)), a);
+}
+
 TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
   const auto err = [](const std::string& text) -> std::string {
     std::istringstream in(text);
@@ -291,6 +307,20 @@ TEST(FaultDeterminism, EmptyPlanMatchesUninstrumentedRun) {
         sched::render_report(sc), sc.event_log(), sc.makespan());
   };
   EXPECT_EQ(serve(false), serve(true));
+}
+
+TEST(FaultDeterminism, EmptyPlanInjectsAndDetectsNothing) {
+  host::System sys;
+  sys.machine().enable_faults(fault::FaultPlan{});
+  sched::TrafficConfig tc;
+  tc.jobs = 24;
+  tc.seed = 3;
+  sched::Scheduler sc(sys);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  ASSERT_NE(sys.machine().faults(), nullptr);
+  EXPECT_TRUE(sys.machine().faults()->injections().empty());
+  EXPECT_TRUE(sc.fault_log().empty());
 }
 
 }  // namespace

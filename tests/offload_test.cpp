@@ -1,10 +1,11 @@
 // Tests for the offload layer (the paper's "familiar programming models"
 // future work): buffer striping, parallel_for semantics and timing, and
-// the mesh combining-tree reduction.
+// the binomial reduction over shmem.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "offload/queue.hpp"
 #include "sim/random.hpp"
@@ -52,8 +53,34 @@ TEST(OffloadBuffer, HeapExhaustionThrows) {
   Queue q(sys, 1, 1);
   (void)q.alloc(3000);  // 12 KB of the ~14 KB heap
   EXPECT_THROW((void)q.alloc(1000), std::bad_alloc);
-  q.reset();
+  q.release_all();
   EXPECT_NO_THROW((void)q.alloc(3000));
+}
+
+TEST(OffloadHeap, ExhaustionReportsSizes) {
+  host::System sys;
+  Queue q(sys, 2, 2);
+  // The per-core heap is 0x4000..0x7BFF (15360 bytes). One 3000-float stripe
+  // per core = 12000 bytes; a second such buffer exhausts it.
+  auto buf = q.alloc(4 * 3000);
+  EXPECT_EQ(buf.stripe(), 3000u);
+  try {
+    (void)q.alloc(4 * 3000);
+    FAIL() << "second 12000-byte stripe must exhaust the 15360-byte heap";
+  } catch (const shmem::HeapExhausted& e) {
+    EXPECT_EQ(e.requested(), 3000u * sizeof(float));
+    EXPECT_EQ(e.available(), 15360u - 12000u);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("symmetric heap exhausted"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("12000"), std::string::npos) << msg;
+  }
+  // HeapExhausted still satisfies callers catching a bare bad_alloc.
+  EXPECT_THROW((void)q.alloc(4 * 3000), std::bad_alloc);
+  // release_all() makes the heap fully reusable.
+  q.release_all();
+  EXPECT_EQ(q.heap_available(), 0x3C00u);
+  auto buf3 = q.alloc(4 * 3000);
+  EXPECT_EQ(buf3.offset(), Queue::kHeapBase);
 }
 
 TEST(OffloadParallelFor, SaxpyAcrossCores) {
@@ -141,8 +168,7 @@ TEST_P(OffloadReduceShapes, SumMatchesHost) {
   for (auto& v : data) v = static_cast<float>(rng.next_below(100));
   q.write(b, data);
   const float host_sum = std::accumulate(data.begin(), data.end(), 0.0f);
-  const float dev_sum =
-      q.reduce(b, n, 0.0f, [](float a, float x) { return a + x; }, 1.0);
+  const float dev_sum = q.reduce(b, n, shmem::ReduceOp::Sum, 1.0);
   EXPECT_EQ(dev_sum, host_sum);
 }
 
@@ -161,13 +187,12 @@ TEST(OffloadReduce, MaxReduction) {
   util::fill_random(data, 17);
   data[777] = 9.5f;  // clear maximum
   q.write(b, data);
-  const float m = q.reduce(
-      b, n, -1e30f, [](float a, float x) { return a > x ? a : x; }, 1.0);
+  const float m = q.reduce(b, n, shmem::ReduceOp::Max, 1.0);
   EXPECT_EQ(m, 9.5f);
 }
 
 TEST(OffloadReduce, TreeBeatsSerialGather) {
-  // The combining tree's depth is log2(cores); device time for the combine
+  // The reduction tree's depth is log2(cores); device time for the combine
   // phase must grow far slower than the core count.
   constexpr std::size_t n = 64;  // one element per core at 8x8
   auto combine_time = [&](unsigned edge) {
@@ -177,7 +202,7 @@ TEST(OffloadReduce, TreeBeatsSerialGather) {
     std::vector<float> ones(n, 1.0f);
     q.write(b, ones);
     sim::Cycles cycles = 0;
-    (void)q.reduce(b, n, 0.0f, [](float a, float x) { return a + x; }, 1.0, &cycles);
+    (void)q.reduce(b, n, shmem::ReduceOp::Sum, 1.0, &cycles);
     return cycles;
   };
   const auto t2 = combine_time(2);   // depth 2
@@ -192,7 +217,7 @@ TEST(OffloadReduce, RepeatedReductionsOnSameQueue) {
   std::vector<float> data(100, 2.0f);
   q.write(b, data);
   for (int rep = 0; rep < 3; ++rep) {
-    const float s = q.reduce(b, 100, 0.0f, [](float a, float x) { return a + x; }, 1.0);
+    const float s = q.reduce(b, 100, shmem::ReduceOp::Sum, 1.0);
     EXPECT_EQ(s, 200.0f) << rep;
   }
 }

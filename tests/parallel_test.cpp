@@ -212,6 +212,20 @@ TEST(Cluster, ReportByteIdenticalAcrossWorkers) {
   }
 }
 
+TEST(Cluster, ReportByteIdenticalWithMoreWorkersThanFour) {
+  sched::ClusterConfig cfg = small_cluster();
+  cfg.chip_cols = 3;  // six domains, so six workers each get one
+  const std::string ref = [&] {
+    sched::ClusterScheduler cs(cfg);
+    cs.run(1);
+    return cs.report();
+  }();
+  sched::ClusterScheduler cs(cfg);
+  cs.run(6);
+  EXPECT_EQ(cs.parallel_stats().workers, 6u);
+  EXPECT_EQ(cs.report(), ref);
+}
+
 TEST(Cluster, ForwardsJobsAndReturnsNotices) {
   sched::ClusterScheduler cs(small_cluster());
   cs.run(2);

@@ -9,7 +9,6 @@
 
 #include "host/system.hpp"
 #include "lint/wg_fixtures.hpp"
-#include "offload/queue.hpp"
 #include "sched/allocator.hpp"
 #include "sched/dag.hpp"
 #include "sched/report.hpp"
@@ -130,34 +129,6 @@ TEST(Reservations, MoveTransfersOwnership) {
   host::Workgroup moved = std::move(wg);
   EXPECT_EQ(sys.machine().reservations().reserved_count(), 4u);
   EXPECT_THROW((void)sys.open(1, 1, 1, 1), std::runtime_error);
-}
-
-// ---- offload queue heap reporting -----------------------------------------
-
-TEST(OffloadHeap, ExhaustionReportsSizes) {
-  host::System sys;
-  offload::Queue q(sys, 2, 2);
-  // The per-core heap is 0x4000..0x7BFF (15360 bytes). One 3000-float stripe
-  // per core = 12000 bytes; a second such buffer exhausts it.
-  auto buf = q.alloc(4 * 3000);
-  EXPECT_EQ(buf.stripe(), 3000u);
-  try {
-    (void)q.alloc(4 * 3000);
-    FAIL() << "second 12000-byte stripe must exhaust the 15360-byte heap";
-  } catch (const offload::HeapExhausted& e) {
-    EXPECT_EQ(e.requested(), 3000u * sizeof(float));
-    EXPECT_EQ(e.available(), 15360u - 12000u);
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("offload heap exhausted"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("12000"), std::string::npos) << msg;
-  }
-  // HeapExhausted still satisfies callers catching the old bare bad_alloc.
-  EXPECT_THROW((void)q.alloc(4 * 3000), std::bad_alloc);
-  // release_all() makes the heap fully reusable.
-  q.release_all();
-  EXPECT_EQ(q.heap_available(), 0x3C00u);
-  auto buf3 = q.alloc(4 * 3000);
-  EXPECT_EQ(buf3.offset(), offload::Queue::kHeapBase);
 }
 
 // ---- scheduler policy -----------------------------------------------------
@@ -485,6 +456,22 @@ TEST(LintGate, StrictAdmitsAndCompletesTheCleanTwin) {
   EXPECT_DOUBLE_EQ(sc.counters().value("sched.lint.rejects"), 0.0);
 }
 
+TEST(LintGate, StrictRejectsRacyShmemConsumerAndCompletesItsCleanTwin) {
+  host::System sys;
+  sched::SchedConfig cfg;
+  cfg.lint = sched::LintMode::Strict;
+  sched::Scheduler sc(sys, cfg);
+  sc.submit(custom_job(1, lint::fixtures::shmem_put_signal(/*racy=*/true)));
+  sc.submit(custom_job(2, lint::fixtures::shmem_put_signal(/*racy=*/false), 10));
+  sc.run();
+  const auto& racy = sc.records()[0];
+  EXPECT_EQ(racy.verdict, sched::Verdict::Rejected);
+  EXPECT_NE(racy.detail.find("wg-race"), std::string::npos) << racy.detail;
+  EXPECT_EQ(racy.started, 0u);
+  const auto& clean = sc.records()[1];
+  EXPECT_EQ(clean.verdict, sched::Verdict::Completed) << clean.detail;
+}
+
 TEST(LintGate, WarnLogsButAdmits) {
   host::System sys;
   sched::SchedConfig cfg;
@@ -534,8 +521,11 @@ TEST(LintGate, RejectionIsDeterministic) {
     sched::Scheduler sc(sys, cfg);
     sc.submit(custom_job(1, lint::fixtures::listing12(/*racy=*/true)));
     sc.submit(custom_job(2, lint::fixtures::listing12(/*racy=*/false), 5));
+    sc.submit(custom_job(3, lint::fixtures::shmem_put_signal(/*racy=*/true), 10));
+    sc.submit(custom_job(4, lint::fixtures::shmem_put_signal(/*racy=*/false), 15));
     sc.run();
-    std::string all = sc.records()[0].detail + "|" + sc.records()[1].detail;
+    std::string all;
+    for (const auto& rec : sc.records()) all += rec.detail + "|";
     for (const auto& line : sc.event_log()) all += "\n" + line;
     return all;
   };

@@ -67,6 +67,26 @@ TEST(ShmemHeap, ExhaustionAndBadArgumentsThrow) {
       std::invalid_argument);
 }
 
+TEST(ShmemHeap, ExhaustionReportsRequestedAndAvailableBytes) {
+  shmem::SymmetricHeap h(0x2000, 0x2100);  // 256-byte heap
+  (void)h.alloc(100);                      // next 8-aligned start: 0x2068
+  try {
+    (void)h.alloc(200);
+    FAIL() << "200 bytes cannot fit the 152 that remain";
+  } catch (const shmem::HeapExhausted& e) {
+    EXPECT_EQ(e.requested(), 200u);
+    EXPECT_EQ(e.available(), 0x2100u - 0x2068u);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("requested 200 bytes per PE but only 152 of the "
+                       "0x2000-0x20FF heap remain"),
+              std::string::npos)
+        << msg;
+  }
+  // A failed allocation leaves the heap as it was.
+  EXPECT_EQ(h.used(), 100u);
+  EXPECT_EQ(h.alloc(152), 0x2068u);
+}
+
 // ---- one-sided put/get ----------------------------------------------------
 
 /// PE 0 pushes one small (direct-store path) and one large (DMA path) block

@@ -1,9 +1,9 @@
-// epi-fault: author, replay and self-check deterministic fault plans.
+// epi-fault: author, replay and chaos-test deterministic fault plans.
 //
 // A fault plan (src/fault/plan.hpp) is data: a list of scheduled hardware
 // faults plus the seed that drives every random choice made while applying
 // them. This tool generates seeded chaos plans, replays a serving workload
-// under a plan, and carries the two self-checks the CI runs:
+// under a plan, and runs the chaos smokes:
 //
 // Usage:
 //   epi_fault gen [options]          generate a chaos plan (text to stdout)
@@ -25,8 +25,6 @@
 //     --watchdog=C                        silence budget (default 400000)
 //     --log                               print decision + injection logs
 //
-//   epi_fault --selftest       plan round-trip, same-seed byte-identity,
-//                              and the empty-plan equivalence guarantee
 //   epi_fault --chaos-smoke    seeded chaos serving run (core kill, link
 //                              faults, eLink corruption): must complete,
 //                              quarantine the dead core, validate surviving
@@ -45,7 +43,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,14 +69,12 @@ struct ServeResult {
   unsigned quarantined = 0;
 };
 
-/// One serving run of a generated workload, optionally under a fault plan.
-/// `arm_empty` attaches an injector with an empty plan (for the equivalence
-/// check); otherwise the injector is attached only when the plan has events.
-ServeResult serve(const fault::FaultPlan& plan, bool arm, unsigned jobs,
+/// One serving run of a generated workload under a fault plan.
+ServeResult serve(const fault::FaultPlan& plan, unsigned jobs,
                   std::uint64_t traffic_seed, sim::Cycles interarrival,
                   sim::Cycles watchdog) {
   host::System sys;
-  if (arm) sys.machine().enable_faults(plan);
+  sys.machine().enable_faults(plan);
 
   sched::TrafficConfig tc;
   tc.jobs = jobs;
@@ -112,65 +107,6 @@ int check(bool ok, const char* what, int& failures) {
   return failures;
 }
 
-int selftest() {
-  int failures = 0;
-
-  // Same seed, same plan -- byte-identical text; a different seed moves the
-  // random placements.
-  fault::ChaosConfig cc;
-  cc.seed = 7;
-  cc.dims = {8, 8};
-  cc.core_kills = 2;
-  cc.core_stalls = 2;
-  cc.link_faults = 6;
-  cc.elink_outages = 2;
-  cc.elink_flips = 2;
-  cc.mem_flips = 2;
-  const std::string a = fault::save(fault::generate(cc));
-  const std::string b = fault::save(fault::generate(cc));
-  check(a == b, "generate(): same seed is byte-identical", failures);
-  cc.seed = 8;
-  check(fault::save(fault::generate(cc)) != a, "generate(): seed moves the plan",
-        failures);
-
-  // Text round-trip: parse(save(p)) re-saves to the same bytes.
-  std::istringstream in(a);
-  const fault::FaultPlan back = fault::parse(in, "roundtrip");
-  check(fault::save(back) == a, "save/parse round-trip", failures);
-
-  // Cluster grammar: a generated cluster plan round-trips.
-  fault::ChaosConfig cl;
-  cl.seed = 5;
-  cl.dims = {8, 8};
-  cl.chip_rows = 2;
-  cl.chip_cols = 2;
-  cl.core_kills = 1;  // chip-tagged machine fault
-  cl.chip_crashes = 1;
-  cl.chip_stalls = 1;
-  cl.xmesh_faults = 2;
-  cl.notice_drops = 1;
-  cl.notice_flips = 1;
-  const std::string ct = fault::save(fault::generate(cl));
-  std::istringstream cin2(ct);
-  check(fault::save(fault::parse(cin2, "cluster")) == ct,
-        "cluster plan: save/parse round-trip", failures);
-
-  // Empty-plan equivalence: arming an injector with no events must leave a
-  // serving run byte-identical to one with no injector at all.
-  const fault::FaultPlan empty;
-  const ServeResult bare = serve(empty, false, 24, 3, 30'000, 0);
-  const ServeResult armed = serve(empty, true, 24, 3, 30'000, 0);
-  check(bare.report == armed.report, "empty plan: reports byte-identical",
-        failures);
-  check(bare.decision_log == armed.decision_log,
-        "empty plan: decision logs byte-identical", failures);
-  check(armed.fault_log.empty() && armed.injections.empty(),
-        "empty plan: nothing detected, nothing injected", failures);
-
-  std::printf("\nselftest: %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
-}
-
 int chaos_smoke() {
   int failures = 0;
 
@@ -188,8 +124,8 @@ int chaos_smoke() {
   cc.mem_flips = 1;
   const fault::FaultPlan plan = fault::generate(cc);
 
-  const ServeResult first = serve(plan, true, 40, 7, 30'000, 400'000);
-  const ServeResult second = serve(plan, true, 40, 7, 30'000, 400'000);
+  const ServeResult first = serve(plan, 40, 7, 30'000, 400'000);
+  const ServeResult second = serve(plan, 40, 7, 30'000, 400'000);
 
   // The run must terminate with a verdict for every job: faults degrade the
   // mesh, they do not wedge the scheduler.
@@ -323,7 +259,6 @@ int main(int argc, char** argv) {
       const std::string_view arg = argv[i];
       const util::Flag f(arg);
       if (arg == "gen" || arg == "run") { verb = arg; continue; }
-      if (arg == "--selftest") { verb = "selftest"; continue; }
       if (arg == "--chaos-smoke") { verb = "chaos-smoke"; continue; }
       if (arg == "--log") { print_log = true; continue; }
       if (f.text("--plan", plan_path) || f.text("--out", out_path) ||
@@ -349,7 +284,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (verb == "selftest") return selftest();
     if (verb == "chaos-smoke") {
       if (cc.chip_rows != 0) {
         if (cc.chip_rows * cc.chip_cols < 2) {
@@ -381,7 +315,7 @@ int main(int argc, char** argv) {
       }
       const fault::FaultPlan plan = fault::load_file(plan_path);
       const ServeResult r =
-          serve(plan, true, jobs, traffic_seed, interarrival, watchdog);
+          serve(plan, jobs, traffic_seed, interarrival, watchdog);
       std::cout << r.report;
       if (!r.fault_log.empty()) {
         std::cout << "\n-- fault log --\n";
@@ -400,6 +334,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr,
-               "epi_fault: expected a verb: gen | run | --selftest | --chaos-smoke\n");
+               "epi_fault: expected a verb: gen | run | --chaos-smoke\n");
   return 2;
 }

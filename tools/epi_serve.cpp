@@ -26,9 +26,6 @@
 //     --strict           exit non-zero if any job ends with a Failed verdict
 //                        (default: failures are reported but tolerated --
 //                        a degraded chip keeps serving)
-//     --selftest         run the workload twice on fresh machines and fail
-//                        unless reports and decision logs are byte-identical
-//                        (also asserts >=3 workgroups were resident at once)
 //     --lint=MODE        admission-time static verification of custom jobs:
 //                        off (default), warn (log findings, admit anyway), or
 //                        strict (reject jobs with error-severity findings
@@ -38,11 +35,6 @@
 //                        SPMD-style; else give rows*cols files in row-major
 //                        order)
 //     --asm-shape=RxC    workgroup shape for --asm              (default 1x1)
-//     --verify-selftest  admission-gate selftest: under --lint=strict the
-//                        statically-racy fixtures (Listing-1/2 and the
-//                        epi-shmem get-before-signal consumer) must be
-//                        rejected with wg-race verdicts and their clean twins
-//                        must complete, deterministically across two runs
 //
 // Cluster (multi-chip xMesh) mode -- each chip is one conservative-PDES
 // domain with its own engine and scheduler, advanced in parallel windows:
@@ -54,8 +46,6 @@
 //                        reports are byte-identical for every N)
 //     --remote-frac=F    fraction of each chip's stream homed off-chip
 //                        (default 0.25)
-//     --selftest         in cluster mode: rerun with 1, 2 and N workers and
-//                        fail unless all reports are byte-identical
 //     --plan=FILE        in cluster mode: a cluster fault plan (`chips RxC`
 //                        grammar) -- chip-crash/chip-stall/xmesh/notice
 //                        faults arm the failover stack (heartbeat watchdogs,
@@ -82,7 +72,6 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "host/system.hpp"
-#include "lint/wg_fixtures.hpp"
 #include "sched/cluster.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
@@ -109,65 +98,14 @@ struct Options {
   bool watchdog_set = false;
   bool strict = false;
   bool print_log = false;
-  bool selftest = false;
   sched::LintMode lint = sched::LintMode::Off;
   std::string asm_files;       // comma-separated .s paths for one custom job
   unsigned asm_rows = 1, asm_cols = 1;
-  bool verify_selftest = false;
   unsigned chip_rows = 0, chip_cols = 0;  // 0 = single-chip mode
   unsigned parallel = 1;
   double remote_frac = 0.25;
   double pipelines = 0.0;
 };
-
-struct RunOutput {
-  std::string report;
-  std::vector<std::string> log;
-  std::vector<std::string> fault_log;
-  unsigned peak_resident = 0;
-  unsigned unresolved = 0;
-  unsigned failed = 0;
-  std::vector<std::string> rejected;  // "job N: detail" per rejected job
-};
-
-RunOutput run_once(const std::vector<sched::JobSpec>& jobs, const Options& opt,
-                   bool trace) {
-  host::System sys;
-  if (trace) sys.machine().enable_tracing();
-  if (!opt.plan_path.empty()) {
-    sys.machine().enable_faults(fault::load_file(opt.plan_path));
-  }
-  sched::SchedConfig cfg;
-  cfg.queue_capacity = opt.queue;
-  cfg.lint = opt.lint;
-  // With a plan armed, silent stalls are expected: default the watchdog on
-  // so they become FaultReports instead of an engine deadlock.
-  cfg.watchdog_cycles =
-      opt.watchdog_set ? opt.watchdog : (opt.plan_path.empty() ? 0 : 400'000);
-  sched::Scheduler sc(sys, cfg);
-  for (const auto& spec : jobs) sc.submit(spec);
-  sc.run();
-
-  RunOutput out;
-  out.report = sched::render_report(sc);
-  out.log = sc.event_log();
-  for (const auto& r : sc.fault_log()) out.fault_log.push_back(fault::to_line(r));
-  out.peak_resident = sc.peak_resident();
-  for (const auto& rec : sc.records()) {
-    if (rec.verdict == sched::Verdict::Pending) ++out.unresolved;
-    if (rec.verdict == sched::Verdict::Failed) ++out.failed;
-    if (rec.verdict == sched::Verdict::Rejected) {
-      out.rejected.push_back("job " + std::to_string(rec.spec.id) + ": " +
-                             rec.detail);
-    }
-  }
-  if (trace && !opt.trace_path.empty()) {
-    std::ofstream os(opt.trace_path, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("cannot write trace file: " + opt.trace_path);
-    trace::write_chrome_trace(os, *sys.machine().tracer());
-  }
-  return out;
-}
 
 /// One custom job from comma-separated .s paths.
 sched::JobSpec custom_job(const std::string& files, unsigned rows, unsigned cols) {
@@ -195,87 +133,8 @@ sched::JobSpec custom_job(const std::string& files, unsigned rows, unsigned cols
   return s;
 }
 
-/// Admission-gate selftest: the statically-racy fixtures -- the Listing-1/2
-/// read-without-wait and the epi-shmem get-before-signal consumer -- must be
-/// rejected under strict lint with wg-race verdicts; their clean twins (the
-/// same protocols with the flag wait) must be admitted and complete; and two
-/// runs must be byte-identical. Returns the exit status.
-int verify_selftest() {
-  const auto job_of = [](const lint::fixtures::WgFixture& fx, std::uint32_t id) {
-    sched::JobSpec s;
-    s.id = id;
-    s.kind = sched::JobKind::Custom;
-    s.rows = fx.rows;
-    s.cols = fx.cols;
-    s.programs = fx.programs;
-    return s;
-  };
-  const auto run = [&]() {
-    host::System sys;
-    sched::SchedConfig cfg;
-    cfg.lint = sched::LintMode::Strict;
-    sched::Scheduler sc(sys, cfg);
-    sc.submit(job_of(lint::fixtures::listing12(/*racy=*/true), 1));
-    sc.submit(job_of(lint::fixtures::listing12(/*racy=*/false), 2));
-    sc.submit(job_of(lint::fixtures::shmem_put_signal(/*racy=*/true), 3));
-    sc.submit(job_of(lint::fixtures::shmem_put_signal(/*racy=*/false), 4));
-    sc.run();
-    return std::make_pair(sc.records(), sc.event_log());
-  };
-
-  const auto [records, log] = run();
-  bool ok = true;
-  for (const std::size_t r : {std::size_t{0}, std::size_t{2}}) {
-    const auto& racy = records[r];
-    const auto& clean = records[r + 1];
-    const char* what = r == 0 ? "listing12" : "shmem_put_signal";
-    if (racy.verdict != sched::Verdict::Rejected) {
-      std::fprintf(
-          stderr,
-          "verify-selftest: FAIL: racy %s job verdict is %s, want rejected\n",
-          what, sched::to_string(racy.verdict));
-      ok = false;
-    } else if (racy.detail.find("wg-race") == std::string::npos) {
-      std::fprintf(stderr,
-                   "verify-selftest: FAIL: racy %s job's verdict names no "
-                   "wg-race finding: %s\n",
-                   what, racy.detail.c_str());
-      ok = false;
-    }
-    if (clean.verdict != sched::Verdict::Completed) {
-      std::fprintf(stderr,
-                   "verify-selftest: FAIL: clean %s job verdict is %s (%s), "
-                   "want completed\n",
-                   what, sched::to_string(clean.verdict), clean.detail.c_str());
-      ok = false;
-    }
-  }
-  const auto [records2, log2] = run();
-  if (log2 != log) {
-    std::fprintf(stderr, "verify-selftest: FAIL: decision logs differ between "
-                         "two identical runs\n");
-    ok = false;
-  }
-  for (std::size_t i = 0; ok && i < records.size(); ++i) {
-    if (records2[i].verdict != records[i].verdict ||
-        records2[i].detail != records[i].detail) {
-      std::fprintf(stderr, "verify-selftest: FAIL: verdicts differ between two "
-                           "identical runs\n");
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::printf(
-        "verify-selftest: PASS (racy listing12: %s; racy shmem_put_signal: "
-        "%s)\n",
-        records[0].detail.c_str(), records[2].detail.c_str());
-  }
-  return ok ? 0 : 1;
-}
-
 /// Cluster mode: serve an RxC chip grid through the parallel PDES executor.
-/// The report is byte-identical for every worker count; --selftest proves it
-/// by rerunning with other counts and comparing bytes.
+/// The report is byte-identical for every worker count.
 int run_cluster(const Options& opt) {
   if (!opt.spec_path.empty() || !opt.asm_files.empty()) {
     std::fprintf(stderr,
@@ -304,32 +163,22 @@ int run_cluster(const Options& opt) {
   cc.remote_frac = opt.remote_frac;
   cc.trace = !opt.trace_path.empty();
 
-  const auto serve = [&cc, &opt](unsigned workers, double* wall_ms) {
-    sched::ClusterScheduler cs(cc);
-    const auto t0 = std::chrono::steady_clock::now();
-    cs.run(workers);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (wall_ms != nullptr) {
-      *wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      // Only the measured (first) run exports the trace.
-      if (cc.trace) {
-        std::ofstream os(opt.trace_path, std::ios::binary | std::ios::trunc);
-        if (!os) {
-          throw std::runtime_error("cannot write trace file: " +
-                                   opt.trace_path);
-        }
-        cs.write_trace(os);
-      }
-    }
-    return cs.report();
-  };
-
   std::cout << "serving a " << opt.chip_rows << "x" << opt.chip_cols
             << " chip grid: " << opt.jobs << " jobs/chip (seed " << opt.seed
             << "), remote-frac " << opt.remote_frac << ", --parallel="
             << opt.parallel << "\n\n";
-  double wall = 0.0;
-  const std::string report = serve(opt.parallel, &wall);
+  sched::ClusterScheduler cs(cc);
+  const auto t0 = std::chrono::steady_clock::now();
+  cs.run(opt.parallel);
+  const double wall =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (cc.trace) {
+    std::ofstream os(opt.trace_path, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot write trace file: " + opt.trace_path);
+    cs.write_trace(os);
+  }
+  const std::string report = cs.report();
   std::cout << report;
   // Timing is narrative only -- never part of the report bytes.
   std::printf(
@@ -340,22 +189,98 @@ int run_cluster(const Options& opt) {
     if (!os) throw std::runtime_error("cannot write report: " + opt.report_path);
     os << report;
   }
-  if (opt.selftest) {
-    bool ok = true;
-    for (const unsigned w : {1u, 2u}) {
-      if (w == opt.parallel) continue;
-      if (serve(w, nullptr) != report) {
-        std::fprintf(stderr,
-                     "epi_serve: FAIL: reports differ between --parallel=%u "
-                     "and --parallel=%u\n",
-                     opt.parallel, w);
-        ok = false;
-      }
+  return 0;
+}
+
+/// Single-chip mode: serve a generated, replayed or --asm workload.
+int run_chip(const Options& opt) {
+  std::vector<sched::JobSpec> jobs;
+  if (!opt.asm_files.empty()) {
+    jobs.push_back(custom_job(opt.asm_files, opt.asm_rows, opt.asm_cols));
+    std::cout << "serving " << jobs[0].programs.size() << " custom program(s) as a "
+              << opt.asm_rows << "x" << opt.asm_cols
+              << " workgroup (lint=" << to_string(opt.lint) << ")\n\n";
+  } else if (!opt.spec_path.empty()) {
+    jobs = sched::load_file(opt.spec_path);
+    std::cout << "replaying " << jobs.size() << " jobs from " << opt.spec_path << "\n\n";
+  } else {
+    sched::TrafficConfig tc;
+    tc.jobs = opt.jobs;
+    tc.seed = opt.seed;
+    tc.mean_interarrival = opt.interarrival;
+    tc.pipeline_frac = opt.pipelines;
+    jobs = sched::generate(tc);
+    std::cout << "generated " << jobs.size() << " jobs (seed " << opt.seed
+              << ", mean interarrival " << opt.interarrival << " cycles)\n\n";
+  }
+  if (!opt.spec_out.empty()) {
+    std::ofstream os(opt.spec_out, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot write spec: " + opt.spec_out);
+    os << sched::save(jobs);
+  }
+
+  host::System sys;
+  if (!opt.trace_path.empty()) sys.machine().enable_tracing();
+  if (!opt.plan_path.empty()) {
+    sys.machine().enable_faults(fault::load_file(opt.plan_path));
+  }
+  sched::SchedConfig cfg;
+  cfg.queue_capacity = opt.queue;
+  cfg.lint = opt.lint;
+  // With a plan armed, silent stalls are expected: default the watchdog on
+  // so they become FaultReports instead of an engine deadlock.
+  cfg.watchdog_cycles =
+      opt.watchdog_set ? opt.watchdog : (opt.plan_path.empty() ? 0 : 400'000);
+  sched::Scheduler sc(sys, cfg);
+  for (const auto& spec : jobs) sc.submit(spec);
+  sc.run();
+  if (!opt.trace_path.empty()) {
+    std::ofstream os(opt.trace_path, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot write trace file: " + opt.trace_path);
+    trace::write_chrome_trace(os, *sys.machine().tracer());
+  }
+
+  const std::string report = sched::render_report(sc);
+  std::cout << report;
+  if (!sc.fault_log().empty()) {
+    std::cout << "\n-- fault log --\n";
+    for (const auto& r : sc.fault_log()) std::cout << fault::to_line(r) << "\n";
+  }
+  if (opt.print_log) {
+    std::cout << "\n-- decision log --\n";
+    for (const auto& line : sc.event_log()) std::cout << line << "\n";
+  }
+  if (!opt.report_path.empty()) {
+    std::ofstream os(opt.report_path, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot write report: " + opt.report_path);
+    os << report;
+  }
+  if (!opt.trace_path.empty()) {
+    std::cout << "\nWrote Perfetto trace to " << opt.trace_path
+              << " (open at ui.perfetto.dev; ts is in cycles)\n";
+  }
+
+  unsigned unresolved = 0, failed = 0;
+  std::vector<const sched::JobRecord*> rejected;
+  for (const auto& rec : sc.records()) {
+    if (rec.verdict == sched::Verdict::Pending) ++unresolved;
+    if (rec.verdict == sched::Verdict::Failed) ++failed;
+    if (rec.verdict == sched::Verdict::Rejected) rejected.push_back(&rec);
+  }
+  if (unresolved != 0) {
+    std::fprintf(stderr, "epi_serve: FAIL: %u jobs left without a verdict\n", unresolved);
+    return 1;
+  }
+  if (!opt.asm_files.empty() && !rejected.empty()) {
+    for (const auto* rec : rejected) {
+      std::fprintf(stderr, "epi_serve: rejected: job %u: %s\n", rec->spec.id,
+                   rec->detail.c_str());
     }
-    std::cout << (ok ? "\nselftest: PASS (byte-identical cluster reports "
-                       "across worker counts)\n"
-                     : "\nselftest: FAIL\n");
-    return ok ? 0 : 1;
+    return 1;
+  }
+  if (opt.strict && failed != 0) {
+    std::fprintf(stderr, "epi_serve: --strict: %u jobs failed\n", failed);
+    return 1;
   }
   return 0;
 }
@@ -394,10 +319,6 @@ void parse_args(int argc, char** argv, Options& opt) {
       opt.strict = true;
     } else if (arg == "--log") {
       opt.print_log = true;
-    } else if (arg == "--selftest") {
-      opt.selftest = true;
-    } else if (arg == "--verify-selftest") {
-      opt.verify_selftest = true;
     } else {
       throw util::ParseError("unknown argument '" + std::string(arg) +
                              "' (see the header of tools/epi_serve.cpp)");
@@ -415,122 +336,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "epi_serve: %s\n", e.what());
     return 2;
   }
-
-  if (opt.verify_selftest) {
-    try {
-      return verify_selftest();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "epi_serve: verify-selftest error: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (opt.chip_rows != 0) {
-    try {
-      return run_cluster(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "epi_serve: error: %s\n", e.what());
-      return 1;
-    }
-  }
-
   try {
-    std::vector<sched::JobSpec> jobs;
-    if (!opt.asm_files.empty()) {
-      jobs.push_back(custom_job(opt.asm_files, opt.asm_rows, opt.asm_cols));
-      std::cout << "serving " << jobs[0].programs.size()
-                << " custom program(s) as a " << opt.asm_rows << "x"
-                << opt.asm_cols << " workgroup (lint=" << to_string(opt.lint)
-                << ")\n\n";
-    } else if (!opt.spec_path.empty()) {
-      jobs = sched::load_file(opt.spec_path);
-      std::cout << "replaying " << jobs.size() << " jobs from " << opt.spec_path
-                << "\n\n";
-    } else {
-      sched::TrafficConfig tc;
-      tc.jobs = opt.jobs;
-      tc.seed = opt.seed;
-      tc.mean_interarrival = opt.interarrival;
-      tc.pipeline_frac = opt.pipelines;
-      jobs = sched::generate(tc);
-      std::cout << "generated " << jobs.size() << " jobs (seed " << opt.seed
-                << ", mean interarrival " << opt.interarrival << " cycles)\n\n";
-    }
-    if (!opt.spec_out.empty()) {
-      std::ofstream os(opt.spec_out, std::ios::binary | std::ios::trunc);
-      if (!os) throw std::runtime_error("cannot write spec: " + opt.spec_out);
-      os << sched::save(jobs);
-    }
-
-    const RunOutput first = run_once(jobs, opt, !opt.trace_path.empty());
-    std::cout << first.report;
-    if (!first.fault_log.empty()) {
-      std::cout << "\n-- fault log --\n";
-      for (const auto& line : first.fault_log) std::cout << line << "\n";
-    }
-    if (opt.print_log) {
-      std::cout << "\n-- decision log --\n";
-      for (const auto& line : first.log) std::cout << line << "\n";
-    }
-    if (!opt.report_path.empty()) {
-      std::ofstream os(opt.report_path, std::ios::binary | std::ios::trunc);
-      if (!os) throw std::runtime_error("cannot write report: " + opt.report_path);
-      os << first.report;
-    }
-    if (!opt.trace_path.empty()) {
-      std::cout << "\nWrote Perfetto trace to " << opt.trace_path
-                << " (open at ui.perfetto.dev; ts is in cycles)\n";
-    }
-
-    if (first.unresolved != 0) {
-      std::fprintf(stderr, "epi_serve: FAIL: %u jobs left without a verdict\n",
-                   first.unresolved);
-      return 1;
-    }
-    if (!opt.asm_files.empty() && !first.rejected.empty()) {
-      for (const auto& line : first.rejected) {
-        std::fprintf(stderr, "epi_serve: rejected: %s\n", line.c_str());
-      }
-      return 1;
-    }
-    if (opt.strict && first.failed != 0) {
-      std::fprintf(stderr, "epi_serve: --strict: %u jobs failed\n", first.failed);
-      return 1;
-    }
-
-    if (opt.selftest) {
-      const RunOutput second = run_once(jobs, opt, false);
-      bool ok = true;
-      if (second.report != first.report) {
-        std::fprintf(stderr, "epi_serve: FAIL: reports differ between two "
-                             "identical runs\n");
-        ok = false;
-      }
-      if (second.log != first.log) {
-        std::fprintf(stderr, "epi_serve: FAIL: decision logs differ between "
-                             "two identical runs\n");
-        ok = false;
-      }
-      if (second.fault_log != first.fault_log) {
-        std::fprintf(stderr, "epi_serve: FAIL: fault logs differ between two "
-                             "identical runs\n");
-        ok = false;
-      }
-      if (first.peak_resident < 3) {
-        std::fprintf(stderr,
-                     "epi_serve: FAIL: expected >=3 concurrently resident "
-                     "workgroups, saw %u\n",
-                     first.peak_resident);
-        ok = false;
-      }
-      std::cout << (ok ? "\nselftest: PASS (byte-identical reports and logs; "
-                       : "\nselftest: FAIL (")
-                << "peak resident groups " << first.peak_resident << ")\n";
-      return ok ? 0 : 1;
-    }
+    return opt.chip_rows != 0 ? run_cluster(opt) : run_chip(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "epi_serve: error: %s\n", e.what());
     return 1;
   }
-  return 0;
 }
