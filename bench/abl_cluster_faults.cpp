@@ -12,20 +12,18 @@
 // side dedups, CRC rejects), and the chips lost.
 //
 // Results go to BENCH_cluster_faults.json; the committed copy at the
-// repository root is the baseline scripts/bench.sh and CI compare against.
+// repository root is the baseline scripts/bench_check.py holds new runs to,
+// exactly.
 //
 // Usage: abl_cluster_faults [jobs_per_chip] [--smoke] [--csv=FILE]
 //                           [--metrics=FILE] [--no-metrics]
 //
 // --smoke: shrink the stream, run every level with 1 and 2 workers
 // asserting the observable cluster bytes (report + decision/fault/notice
-// logs) are identical, and validate the metrics schema (the ctest entry);
-// non-zero exit on any mismatch.
+// logs) are identical (the ctest entry); non-zero exit on any mismatch.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -205,33 +203,9 @@ int main(int argc, char** argv) {
 
   util::finish_bench(args, nullptr, report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    // Schema check: goodput and recovery metrics must exist per level.
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_cluster_faults\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_cluster_faults: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const Level& lv : kLevels) {
-      for (const char* key :
-           {"goodput_jobs_per_mcycle", "completed_fraction", "reforwarded",
-            "quarantines", "dead_chips"}) {
-        const std::string want =
-            std::string("\"f_") + lv.name + "_" + key + "\":";
-        if (json.find(want) == std::string::npos) {
-          std::fprintf(stderr,
-                       "abl_cluster_faults: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), want.c_str());
-          ok = false;
-        }
-      }
-    }
+  if (smoke) {
     std::cout << (ok ? "\nsmoke: PASS (cluster bytes identical for 1/2/4 "
-                       "workers at every level; metrics schema valid)\n"
+                       "workers at every level)\n"
                      : "\nsmoke: FAIL\n");
   }
   return ok ? 0 : 1;

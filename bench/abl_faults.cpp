@@ -11,19 +11,17 @@
 // and how much of the mesh ended the run quarantined.
 //
 // Results go to BENCH_faults.json; the committed copy at the repository
-// root is the baseline scripts/bench.sh and CI compare new runs against.
+// root is the baseline scripts/bench_check.py holds new runs to, exactly.
 //
 // Usage: abl_faults [jobs_per_level] [--smoke] [--trace=FILE] [--csv=FILE]
 //                   [--metrics=FILE] [--no-metrics]
 //
 // --smoke: shrink the stream, rerun every level twice asserting decision
-// and fault logs are byte-identical run over run, and validate the metrics
-// schema (the ctest entry); non-zero exit on any mismatch.
+// and fault logs are byte-identical run over run (the ctest entry);
+// non-zero exit on any mismatch.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -194,33 +192,9 @@ int main(int argc, char** argv) {
 
   util::finish_bench(args, nullptr, report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    // Schema check: goodput and detection metrics must exist per level.
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_faults\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_faults: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const Level& lv : kLevels) {
-      for (const char* key :
-           {"goodput_jobs_per_mcycle", "faults_detected",
-            "mean_detect_latency_cycles", "retry_amplification",
-            "cores_quarantined"}) {
-        const std::string want =
-            std::string("\"f_") + lv.name + "_" + key + "\":";
-        if (json.find(want) == std::string::npos) {
-          std::fprintf(stderr, "abl_faults: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), want.c_str());
-          ok = false;
-        }
-      }
-    }
+  if (smoke) {
     std::cout << (ok ? "\nsmoke: PASS (bit-identical decision and fault logs "
-                       "across reruns; metrics schema valid)\n"
+                       "across reruns)\n"
                      : "\nsmoke: FAIL\n");
   }
   return ok ? 0 : 1;

@@ -39,7 +39,21 @@ FaultInjector::FaultInjector(FaultPlan plan, sim::Engine& engine,
       counters_.define("fault.inject.mem_flip", trace::Counters::Kind::Monotonic);
   c_retry_ = counters_.define("fault.retry.transfer", trace::Counters::Kind::Monotonic);
 
+  // A machine applies single-chip plans only; ClusterInjector::machine_plan
+  // strips the grid and chip tags before a cluster plan reaches one.
+  const auto cluster_only = [](const std::string& what) {
+    return FaultError("fault plan " + what +
+                      ": cluster plans apply only to a multi-chip run; serve "
+                      "it with epi_serve --chips=RxC");
+  };
+  if (plan_.chip_rows != 0 || plan_.chip_cols != 0) {
+    throw cluster_only("declares a chip grid");
+  }
   for (const FaultEvent& e : plan_.events) {
+    if (e.has_chip) {
+      throw cluster_only(std::string("scopes '") + to_string(e.kind) +
+                         "' to chip " + arch::to_string(e.chip));
+    }
     switch (e.kind) {
       case FaultKind::KillCore: {
         if (!dims_.contains(e.core)) {
@@ -92,6 +106,13 @@ FaultInjector::FaultInjector(FaultPlan plan, sim::Engine& engine,
         mem_flips_.push_back(MemFlipBudget{e, e.count});
         mem_flip_budget_ += e.count;
         break;
+      case FaultKind::ChipCrash:
+      case FaultKind::ChipStall:
+      case FaultKind::XMeshFail:
+      case FaultKind::NoticeDrop:
+      case FaultKind::NoticeFlip:
+        throw cluster_only(std::string("has chip-scoped fault '") +
+                           to_string(e.kind) + "'");
     }
   }
   for (CoreFault& cf : cores_) {

@@ -61,6 +61,9 @@ struct FaultReport {
 
 class FaultInjector final : public mem::MemoryHook {
 public:
+  /// Throws FaultError for a fault it cannot apply to this machine: a core
+  /// or link outside `dims`, or anything of a cluster plan (a chip grid, a
+  /// chip-scoped fault, a `chip=` tag).
   FaultInjector(FaultPlan plan, sim::Engine& engine, mem::MemorySystem& mem,
                 arch::MeshDims dims, trace::Tracer* tracer = nullptr);
 

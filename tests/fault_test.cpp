@@ -195,6 +195,33 @@ sched::JobSpec lone_matmul(unsigned iters) {
   return s;
 }
 
+// A cluster plan armed on one machine is refused, never served with its
+// chip-level faults silently dropped.
+TEST(FaultInjector, RejectsClusterPlansOnOneChip) {
+  fault::FaultPlan chip_scoped;  // a chip-crash with its grid taken away
+  chip_scoped.events.push_back(fault::FaultEvent{.kind = fault::FaultKind::ChipCrash});
+  fault::FaultPlan chip_tagged;  // a kill still scoped to one chip
+  chip_tagged.events.push_back(fault::FaultEvent{.has_chip = true});
+  std::istringstream cluster("seed 1\nchips 2x2\nchip-crash chip=0,1 at=1000\n");
+  const std::tuple<fault::FaultPlan, const char*> cases[] = {
+      {fault::parse(cluster), "declares a chip grid"},
+      {chip_scoped, "has chip-scoped fault 'chip-crash'"},
+      {chip_tagged, "scopes 'kill' to chip (0,0)"},
+  };
+  for (const auto& [plan, says] : cases) {
+    host::System sys;
+    try {
+      sys.machine().enable_faults(plan);
+      ADD_FAILURE() << "accepted: " << fault::save(plan);
+    } catch (const fault::FaultError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(says), std::string::npos) << msg;
+      EXPECT_NE(msg.find("serve it with epi_serve --chips=RxC"), std::string::npos)
+          << msg;
+    }
+  }
+}
+
 TEST(Watchdog, StalledCoreTripsExactlyOnceAndJobRelocates) {
   host::System sys;
   sys.machine().enable_faults(kill_plan(0, 0, 1'000));
