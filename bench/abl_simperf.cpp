@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -248,6 +249,21 @@ BENCHMARK(BM_ClusterServe)
     ->Args({2, 1})->Args({2, 2})->Args({2, 4})->Args({2, 8})
     ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8});
 
+/// The git commit of the source tree this binary was built from, or
+/// "unknown" outside a git checkout.
+[[maybe_unused]] std::string source_revision() {
+  std::string rev;
+  std::unique_ptr<FILE, int (*)(FILE*)> git(
+      popen("git -C '" EPI_SOURCE_DIR "' rev-parse HEAD 2>/dev/null", "r"), pclose);
+  if (git) {
+    char buf[64] = {};
+    while (std::fgets(buf, sizeof buf, git.get()) != nullptr) rev += buf;
+    if (pclose(git.release()) != 0) rev.clear();
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) rev.pop_back();
+  return rev.empty() ? "unknown" : rev;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -283,6 +299,10 @@ int main(int argc, char** argv) {
       "hardware_concurrency",
       std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext("cluster_worker_sweep", "1,2,4,8");
+  // google-benchmark's own "library_build_type" describes the installed
+  // library, not this binary; say what was built and from which commit.
+  benchmark::AddCustomContext("epi_build_type", EPI_BUILD_TYPE);
+  benchmark::AddCustomContext("git_revision", source_revision());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,19 +1,24 @@
 #pragma once
 // Shared dataflow machinery for the static analyzers: register use/def
-// walkers, the flat constant lattice the memory-shape passes propagate,
-// and the address classifier that separates local scratchpad offsets from
-// flat global (coreid<<20) addresses. Used by the single-core passes
-// (passes.cpp) and the whole-workgroup verifier (workgroup.cpp).
+// walkers, the flat constant lattice the memory-shape passes propagate and
+// its block-level fixpoint, the counted-self-loop analysis that bounds
+// strided walks, and the address classifier that separates local
+// scratchpad offsets from flat global (coreid<<20) addresses. Used by the
+// single-core passes (passes.cpp) and the whole-workgroup verifier
+// (workgroup.cpp).
 
 #include <array>
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/address_map.hpp"
 #include "isa/program.hpp"
+#include "lint/cfg.hpp"
 
 namespace epi::lint::dataflow {
 
@@ -218,6 +223,37 @@ inline void xfer_const(const isa::Instruction& ins, State& st,
       break;
   }
 }
+
+/// Block-level constant propagation: the state on entry to and exit from
+/// every CFG block, at the fixpoint of xfer_const and merge_state. Block 0
+/// enters with every register unknown; `core_id` is passed to xfer_const.
+struct ConstProp {
+  std::vector<State> in, out;
+};
+
+ConstProp propagate(const isa::Program& prog, const Cfg& cfg,
+                    std::optional<std::int64_t> core_id = std::nullopt);
+
+/// The increment `ins` applies to register r (a postmodify on it, or an
+/// add/sub #imm of it onto itself), or 0.
+std::int64_t step_of(const isa::Instruction& ins, unsigned r);
+
+/// Block `bi` as a single-block counted loop
+///   loop: ... sub rC, rC, #k ... bne loop
+/// with rC constant on loop entry -- the only loop shape the paper's
+/// kernels use -- and the net per-iteration change of each cursor register.
+struct CountedLoop {
+  bool counted = false;      // a terminating counted loop: trips/delta valid
+  bool never_exits = false;  // rC's entry value is not a multiple of k
+  std::size_t counter_instr = 0;  // the `sub rC, rC, #k` (when either is set)
+  std::int64_t trips = 1;
+  std::array<std::int64_t, kRegs> delta{};  // net cursor change per iteration
+  std::array<bool, kRegs> cursor_valid{};   // every in-loop def is an increment
+  State pre;                                // state on loop entry
+};
+
+CountedLoop analyze_self_loop(const isa::Program& prog, const Cfg& cfg,
+                              std::size_t bi, const ConstProp& cp);
 
 inline std::int64_t access_size(const isa::Instruction& ins) {
   using isa::Opcode;

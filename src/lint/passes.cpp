@@ -24,7 +24,7 @@ using dataflow::for_each_use;
 using dataflow::hex;
 using dataflow::kRegs;
 using dataflow::kZ;
-using dataflow::merge_state;
+using dataflow::step_of;
 using dataflow::xfer_const;
 
 std::string reg(unsigned r) { return dataflow::reg_name(r); }
@@ -289,39 +289,10 @@ private:
 
   // ---- memory shape: constant propagation + counted-loop strides ----------
   void check_memory_shape() {
-    const std::size_t nb = cfg_.blocks.size();
-    std::vector<State> in(nb), out(nb);
-    std::vector<bool> visited(nb, false);
-    visited[0] = true;  // entry: all unknown
-    const auto transfer = [&](std::size_t bi) {
-      State s = in[bi];
-      const BasicBlock& b = cfg_.blocks[bi];
-      for (std::size_t i = b.first; i < b.last; ++i) xfer_const(prog_.code[i], s);
-      return s;
-    };
-    std::vector<std::size_t> work{0};
-    while (!work.empty()) {
-      const std::size_t bi = work.back();
-      work.pop_back();
-      out[bi] = transfer(bi);
-      for (std::size_t s : cfg_.blocks[bi].succ) {
-        if (!visited[s]) {
-          visited[s] = true;
-          in[s] = out[bi];
-          work.push_back(s);
-        } else {
-          const State m = merge_state(in[s], out[bi]);
-          if (!(m == in[s])) {
-            in[s] = m;
-            work.push_back(s);
-          }
-        }
-      }
-    }
-
-    for (std::size_t bi = 0; bi < nb; ++bi) {
+    const dataflow::ConstProp cp = dataflow::propagate(prog_, cfg_);
+    for (std::size_t bi = 0; bi < cfg_.blocks.size(); ++bi) {
       if (!cfg_.reachable[bi]) continue;
-      State st = in[bi];
+      State st = cp.in[bi];
       const BasicBlock& b = cfg_.blocks[bi];
       for (std::size_t i = b.first; i < b.last; ++i) {
         const Instruction& ins = prog_.code[i];
@@ -342,7 +313,7 @@ private:
         }
         xfer_const(ins, st);
       }
-      check_counted_self_loop(bi, in, out);
+      check_counted_self_loop(bi, cp);
     }
   }
 
@@ -387,90 +358,22 @@ private:
     }
   }
 
-  /// Bound postmodify walks of single-block counted loops:
-  ///   loop: ... sub rC, rC, #k ... bne loop
-  /// with rC constant on loop entry. This is the only loop shape the
-  /// paper's kernels use, so the common case is fully checked.
-  void check_counted_self_loop(std::size_t bi, const std::vector<State>& in,
-                               const std::vector<State>& out) {
-    const BasicBlock& b = cfg_.blocks[bi];
-    const Instruction& tail = prog_.code[b.last - 1];
-    if (tail.op != Opcode::Bne) return;
-    if (tail.imm < 0 || static_cast<std::size_t>(tail.imm) >= prog_.size() ||
-        cfg_.block_of[static_cast<std::size_t>(tail.imm)] != bi) {
-      return;  // not a self-loop
-    }
-
-    // Loop-entry state: merge of every reachable non-back-edge predecessor.
-    State pre;
-    bool have_pre = false;
-    for (std::size_t p : b.pred) {
-      if (p == bi || !cfg_.reachable[p]) continue;
-      pre = have_pre ? merge_state(pre, out[p]) : out[p];
-      have_pre = true;
-    }
-    (void)in;
-    if (!have_pre) return;
-
-    // The counter: the *last* Z-setting instruction, which the bne tests.
-    std::size_t cnt_i = Finding::kNoInstr;
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      const Opcode op = prog_.code[i].op;
-      if (op == Opcode::Add || op == Opcode::Sub) cnt_i = i;
-    }
-    if (cnt_i == Finding::kNoInstr) return;
-    const Instruction& cnt = prog_.code[cnt_i];
-    if (cnt.op != Opcode::Sub || !cnt.has_imm || cnt.rd != cnt.rn || cnt.imm <= 0) return;
-    const unsigned counter = cnt.rd;
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      if (i == cnt_i) continue;
-      bool redefined = false;
-      for_each_def(prog_.code[i], [&](unsigned r) { redefined |= r == counter; });
-      if (redefined) return;  // counter is not a simple induction variable
-    }
-    if (!pre[counter].known || pre[counter].v <= 0) return;
-    if (pre[counter].v % cnt.imm != 0) {
-      report("termination", Severity::Error, cnt_i,
-             "loop counter " + reg(counter) + " starts at " +
-                 std::to_string(pre[counter].v) + " and steps by " +
+  /// Bound postmodify walks of single-block counted loops (see
+  /// dataflow::analyze_self_loop), and flag counters that never reach zero.
+  void check_counted_self_loop(std::size_t bi, const dataflow::ConstProp& cp) {
+    const dataflow::CountedLoop loop = dataflow::analyze_self_loop(prog_, cfg_, bi, cp);
+    if (loop.never_exits) {
+      const Instruction& cnt = prog_.code[loop.counter_instr];
+      report("termination", Severity::Error, loop.counter_instr,
+             "loop counter " + reg(cnt.rd) + " starts at " +
+                 std::to_string(loop.pre[cnt.rd].v) + " and steps by " +
                  std::to_string(cnt.imm) + ": it never reaches zero (infinite loop)");
       return;
     }
-    const std::int64_t trips = pre[counter].v / cnt.imm;
-
-    // Cursor registers: every in-loop definition is an increment by a
-    // constant (postmodify or add/sub #imm on itself).
-    struct Cursor {
-      bool valid = true;
-      std::int64_t delta = 0;  // net change per iteration
-    };
-    std::array<Cursor, kRegs> cursors;
-    const auto step_of = [](const Instruction& ins, unsigned r) -> std::int64_t {
-      // Increment this instruction applies to register r, or 0.
-      if ((isa::is_load(ins.op) || isa::is_store(ins.op)) && ins.postmodify &&
-          ins.rn == r) {
-        return ins.imm;
-      }
-      if ((ins.op == Opcode::Add || ins.op == Opcode::Sub) && ins.has_imm &&
-          ins.rd == r && ins.rn == r) {
-        return ins.op == Opcode::Add ? ins.imm : -std::int64_t{ins.imm};
-      }
-      return 0;
-    };
-    const auto is_increment = [&](const Instruction& ins, unsigned r) {
-      return step_of(ins, r) != 0;
-    };
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      const Instruction& ins = prog_.code[i];
-      for_each_def(ins, [&](unsigned r) {
-        if (r >= kRegs) return;
-        if (is_increment(ins, r)) {
-          cursors[r].delta += step_of(ins, r);
-        } else {
-          cursors[r].valid = false;
-        }
-      });
-    }
+    if (!loop.counted) return;
+    const BasicBlock& b = cfg_.blocks[bi];
+    const State& pre = loop.pre;
+    const std::int64_t trips = loop.trips;
 
     // Walk the block once more, bounding every access off a live cursor.
     std::array<std::int64_t, kRegs> cum{};
@@ -478,16 +381,16 @@ private:
       const Instruction& ins = prog_.code[i];
       if (isa::is_load(ins.op) || isa::is_store(ins.op)) {
         const unsigned bn = ins.rn;
-        if (bn < kRegs && bn != counter && cursors[bn].valid &&
-            cursors[bn].delta != 0 && pre[bn].known) {
-          const std::int64_t d = cursors[bn].delta;
+        if (bn < kRegs && loop.cursor_valid[bn] && loop.delta[bn] != 0 &&
+            pre[bn].known) {
+          const std::int64_t d = loop.delta[bn];
           const std::int64_t rel = cum[bn] + (ins.postmodify ? 0 : ins.imm);
           const std::int64_t a0 = pre[bn].v + rel;
           if (classify_addr(a0).kind == dataflow::AddrKind::Global) {
             // Remote strided walk: out of scope for the single-core extent
             // check; the workgroup verifier bounds it against the target
             // core's scratchpad instead.
-            for (unsigned r = 0; r < kRegs; ++r) cum[r] += step_of(prog_.code[i], r);
+            for (unsigned r = 0; r < kRegs; ++r) cum[r] += step_of(ins, r);
             continue;
           }
           const std::int64_t alast = a0 + (trips - 1) * d;

@@ -21,10 +21,9 @@ using dataflow::AV;
 using dataflow::State;
 using dataflow::access_size;
 using dataflow::classify_addr;
-using dataflow::for_each_def;
 using dataflow::hex;
 using dataflow::kRegs;
-using dataflow::merge_state;
+using dataflow::step_of;
 using dataflow::xfer_const;
 
 /// One memory/synchronisation action of one core, with its target resolved
@@ -44,128 +43,6 @@ struct Event {
 
 constexpr bool overlaps(const Event& a, const Event& b) {
   return a.lo < b.hi && b.lo < a.hi;
-}
-
-/// Block-level constant propagation (same fixpoint as the single-core
-/// memory-shape pass), with this core's COREID known.
-struct ConstProp {
-  std::vector<State> in, out;
-};
-
-ConstProp propagate(const isa::Program& prog, const Cfg& cfg, std::int64_t core_id) {
-  const std::size_t nb = cfg.blocks.size();
-  ConstProp cp;
-  cp.in.resize(nb);
-  cp.out.resize(nb);
-  if (nb == 0) return cp;
-  std::vector<bool> visited(nb, false);
-  visited[0] = true;
-  const auto transfer = [&](std::size_t bi) {
-    State s = cp.in[bi];
-    const BasicBlock& b = cfg.blocks[bi];
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      xfer_const(prog.code[i], s, core_id);
-    }
-    return s;
-  };
-  std::vector<std::size_t> work{0};
-  while (!work.empty()) {
-    const std::size_t bi = work.back();
-    work.pop_back();
-    cp.out[bi] = transfer(bi);
-    for (std::size_t s : cfg.blocks[bi].succ) {
-      if (!visited[s]) {
-        visited[s] = true;
-        cp.in[s] = cp.out[bi];
-        work.push_back(s);
-      } else {
-        const State m = merge_state(cp.in[s], cp.out[bi]);
-        if (!(m == cp.in[s])) {
-          cp.in[s] = m;
-          work.push_back(s);
-        }
-      }
-    }
-  }
-  return cp;
-}
-
-/// A counted self-loop (`sub rC, rC, #k ... bne self`), as bounded by the
-/// single-core stride pass: trip count plus per-register net deltas.
-struct LoopInfo {
-  bool counted = false;
-  std::int64_t trips = 1;
-  std::array<std::int64_t, kRegs> delta{};  // net cursor change per iteration
-  std::array<bool, kRegs> cursor_valid{};   // delta is the only kind of def
-  State pre;                                // state on loop entry
-  bool have_pre = false;
-};
-
-std::int64_t step_of(const Instruction& ins, unsigned r) {
-  if ((isa::is_load(ins.op) || isa::is_store(ins.op)) && ins.postmodify &&
-      ins.rn == r) {
-    return ins.imm;
-  }
-  if ((ins.op == Opcode::Add || ins.op == Opcode::Sub) && ins.has_imm &&
-      ins.rd == r && ins.rn == r) {
-    return ins.op == Opcode::Add ? ins.imm : -std::int64_t{ins.imm};
-  }
-  return 0;
-}
-
-LoopInfo analyze_self_loop(const isa::Program& prog, const Cfg& cfg,
-                           std::size_t bi, const ConstProp& cp) {
-  LoopInfo li;
-  const BasicBlock& b = cfg.blocks[bi];
-  const Instruction& tail = prog.code[b.last - 1];
-  if (tail.op != Opcode::Bne) return li;
-  if (tail.imm < 0 || static_cast<std::size_t>(tail.imm) >= prog.size() ||
-      cfg.block_of[static_cast<std::size_t>(tail.imm)] != bi) {
-    return li;
-  }
-  for (std::size_t p : b.pred) {
-    if (p == bi || !cfg.reachable[p]) continue;
-    li.pre = li.have_pre ? merge_state(li.pre, cp.out[p]) : cp.out[p];
-    li.have_pre = true;
-  }
-  if (!li.have_pre) return li;
-  std::size_t cnt_i = Finding::kNoInstr;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    const Opcode op = prog.code[i].op;
-    if (op == Opcode::Add || op == Opcode::Sub) cnt_i = i;
-  }
-  if (cnt_i == Finding::kNoInstr) return li;
-  const Instruction& cnt = prog.code[cnt_i];
-  if (cnt.op != Opcode::Sub || !cnt.has_imm || cnt.rd != cnt.rn || cnt.imm <= 0) {
-    return li;
-  }
-  const unsigned counter = cnt.rd;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    if (i == cnt_i) continue;
-    bool redefined = false;
-    for_each_def(prog.code[i], [&](unsigned r) { redefined |= r == counter; });
-    if (redefined) return li;
-  }
-  if (!li.pre[counter].known || li.pre[counter].v <= 0 ||
-      li.pre[counter].v % cnt.imm != 0) {
-    return li;  // non-terminating shapes are the single-core passes' job
-  }
-  li.trips = li.pre[counter].v / cnt.imm;
-  li.cursor_valid.fill(true);
-  li.cursor_valid[counter] = false;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    const Instruction& ins = prog.code[i];
-    for_each_def(ins, [&](unsigned r) {
-      if (r >= kRegs) return;
-      if (step_of(ins, r) != 0) {
-        li.delta[r] += step_of(ins, r);
-      } else {
-        li.cursor_valid[r] = false;
-      }
-    });
-  }
-  li.counted = true;
-  return li;
 }
 
 class Verifier {
@@ -332,7 +209,7 @@ private:
     const isa::Program& prog = prog_of(core);
     const Cfg cfg = Cfg::build(prog);
     const std::int64_t cid = spec_.map.core_id(coord_of(core));
-    const ConstProp cp = propagate(prog, cfg, cid);
+    const dataflow::ConstProp cp = dataflow::propagate(prog, cfg, cid);
 
     // A `.dma` declaration is modelled as a blocking transfer anchored at
     // the first instruction at or below its source line: one Load event over
@@ -356,7 +233,7 @@ private:
     for (std::size_t bi = 0; bi < cfg.blocks.size(); ++bi) {
       if (!cfg.reachable[bi]) continue;
       const BasicBlock& b = cfg.blocks[bi];
-      const LoopInfo li = analyze_self_loop(prog, cfg, bi, cp);
+      const dataflow::CountedLoop li = dataflow::analyze_self_loop(prog, cfg, bi, cp);
       State st = cp.in[bi];
       std::array<std::int64_t, kRegs> cum{};
       for (std::size_t i = b.first; i < b.last; ++i) {

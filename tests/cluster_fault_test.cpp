@@ -352,5 +352,53 @@ TEST(ClusterFailover, WatchdogAbandonedKernelsAreNotADeadlock) {
   EXPECT_TRUE(watchdog_fired);
 }
 
+// Every chip-scoped fault kind at once on a 2x2 grid: a chip crash, a chip
+// stall, bridge-link outages and dropped/corrupted notices. No job or graph
+// wedges, the crashed chip's orphaned forwards are re-homed, the sick chip
+// is quarantined, and the recovery transcript is the same bytes at every
+// worker count.
+TEST(ClusterChaos, GeneratedPlanFailsOverIdenticallyAtAnyWorkerCount) {
+  fault::ChaosConfig cc;
+  cc.seed = 11;
+  cc.dims = {8, 8};
+  cc.horizon = 900'000;
+  cc.chip_rows = 2;
+  cc.chip_cols = 2;
+  cc.chip_crashes = 1;
+  cc.chip_stalls = 1;
+  cc.xmesh_faults = 2;
+  cc.notice_drops = 2;
+  cc.notice_flips = 1;
+
+  sched::ClusterConfig cfg;
+  cfg.chip_rows = 2;
+  cfg.chip_cols = 2;
+  cfg.traffic.jobs = 18;
+  cfg.traffic.seed = 7;
+  cfg.traffic.mean_interarrival = 40'000;
+  cfg.traffic.pipeline_frac = 0.3;  // graphs exercise DAG-aware recovery
+  cfg.remote_frac = 0.35;
+  cfg.sched.watchdog_cycles = 400'000;
+  cfg.cluster_plan = fault::generate(cc);
+
+  sched::ClusterScheduler cs(cfg);
+  cs.run(4);
+  for (unsigned c = 0; c < cs.stats().chips; ++c) {
+    for (const auto& rec : cs.chip_sched(c).records()) {
+      EXPECT_NE(rec.verdict, sched::Verdict::Pending);
+    }
+  }
+  EXPECT_GE(cs.stats().dead_chips, 1u);
+  EXPECT_GT(cs.stats().reforwarded, 0u);
+  EXPECT_GT(cs.stats().quarantines, 0u);
+
+  const std::string report = cs.report();
+  for (const unsigned workers : {1u, 2u}) {
+    sched::ClusterScheduler again(cfg);
+    again.run(workers);
+    EXPECT_EQ(again.report(), report) << workers << " worker(s)";
+  }
+}
+
 }  // namespace
 }  // namespace epi

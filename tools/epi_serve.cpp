@@ -17,7 +17,8 @@
 //                        stages; see src/sched/dag.hpp)       (default 0)
 //     --spec-out=FILE    write the workload spec that was run
 //     --report=FILE      write the run report to FILE as well as stdout
-//     --log              print the scheduler's decision log
+//     --log              print the scheduler's decision log (with --plan, the
+//                        injection log first: every fault the plan applied)
 //     --trace=FILE       Perfetto trace of the whole serving run
 //     --plan=FILE        arm a fault-injection plan (see src/fault/plan.hpp);
 //                        the watchdog defaults on (400000 cycles) so silent
@@ -247,6 +248,10 @@ int run_chip(const Options& opt) {
     for (const auto& r : sc.fault_log()) std::cout << fault::to_line(r) << "\n";
   }
   if (opt.print_log) {
+    if (const auto* inj = sys.machine().faults()) {
+      std::cout << "\n-- injections --\n";
+      for (const auto& line : inj->injections()) std::cout << line << "\n";
+    }
     std::cout << "\n-- decision log --\n";
     for (const auto& line : sc.event_log()) std::cout << line << "\n";
   }
