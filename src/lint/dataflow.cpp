@@ -43,6 +43,12 @@ ConstProp propagate(const isa::Program& prog, const Cfg& cfg,
 }
 
 std::int64_t step_of(const Instruction& ins, unsigned r) {
+  // A load into r makes r data-dependent, even when r is also the
+  // postmodified base (`ldr r1, [r1], #4` leaves loaded value + 4 in r1).
+  if (isa::is_load(ins.op) &&
+      (ins.rd == r || (ins.op == Opcode::Ldrd && ins.rd + 1u == r))) {
+    return 0;
+  }
   if ((isa::is_load(ins.op) || isa::is_store(ins.op)) && ins.postmodify &&
       ins.rn == r) {
     return ins.imm;

@@ -235,7 +235,8 @@ ConstProp propagate(const isa::Program& prog, const Cfg& cfg,
                     std::optional<std::int64_t> core_id = std::nullopt);
 
 /// The increment `ins` applies to register r (a postmodify on it, or an
-/// add/sub #imm of it onto itself), or 0.
+/// add/sub #imm of it onto itself), or 0. A load into r is never an
+/// increment, whatever its addressing.
 std::int64_t step_of(const isa::Instruction& ins, unsigned r);
 
 /// Block `bi` as a single-block counted loop

@@ -11,8 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -34,7 +37,10 @@ public:
       : map_(arch::AddressMap::make(dims)),
         engine_(&engine),
         locals_(dims.core_count()),
-        external_(map_.external_bytes) {}
+        external_(static_cast<std::byte*>(std::calloc(map_.external_bytes, 1))),
+        external_bytes_(map_.external_bytes) {
+    if (external_bytes_ > 0 && external_ == nullptr) throw std::bad_alloc();
+  }
 
   [[nodiscard]] const arch::AddressMap& map() const noexcept { return map_; }
   [[nodiscard]] sim::Engine& engine() const noexcept { return *engine_; }
@@ -48,10 +54,10 @@ public:
 
   /// Direct span into external DRAM (host-side/functional use).
   [[nodiscard]] std::span<std::byte> external_span(std::uint32_t offset, std::size_t n) {
-    if (offset > external_.size() || n > external_.size() - offset) {
+    if (offset > external_bytes_ || n > external_bytes_ - offset) {
       throw std::out_of_range("external memory access out of the 32 MB window");
     }
-    return std::span<std::byte>(external_.data() + offset, n);
+    return std::span<std::byte>(external_.get() + offset, n);
   }
 
   /// Resolve a global address as seen by core `issuer` (local-alias
@@ -213,7 +219,14 @@ private:
   arch::AddressMap map_;
   sim::Engine* engine_;
   std::vector<LocalMemory> locals_;
-  std::vector<std::byte> external_;
+  // The DRAM window comes from calloc: the allocator maps it as zero pages on
+  // demand, so a chip pays RSS only for the DRAM its jobs touch instead of
+  // zero-filling all 32 MB up front.
+  struct FreeDeleter {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], FreeDeleter> external_;
+  std::size_t external_bytes_;
   // Active watches keyed by watched word address; equal keys keep insertion
   // order (std::multimap), so wake order within one store is deterministic:
   // ascending address, FIFO per address.

@@ -26,6 +26,7 @@ bool MeshAllocator::rect_free(unsigned r0, unsigned c0, unsigned rows,
 
 void MeshAllocator::mark(unsigned r0, unsigned c0, unsigned rows, unsigned cols,
                          bool used) {
+  ++gen_;
   for (unsigned r = 0; r < rows; ++r) {
     for (unsigned c = 0; c < cols; ++c) {
       std::uint8_t& cell = used_[(r0 + r) * dims_.cols + (c0 + c)];
@@ -131,6 +132,7 @@ void MeshAllocator::quarantine(const Placement& p) {
   if (p.origin.row + p.rows > dims_.rows || p.origin.col + p.cols > dims_.cols) {
     throw std::logic_error("MeshAllocator::quarantine of a rectangle outside the mesh");
   }
+  ++gen_;
   for (unsigned r = 0; r < p.rows; ++r) {
     for (unsigned c = 0; c < p.cols; ++c) {
       const std::size_t cell =

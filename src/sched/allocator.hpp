@@ -86,6 +86,12 @@ public:
   /// scatter into unusable slivers.
   [[nodiscard]] double fragmentation() const noexcept;
 
+  /// Bumped by every placement, free and quarantine. place() and
+  /// place_near() read nothing else that can change, so a request that
+  /// failed keeps failing until the generation moves (the scheduler's
+  /// failed-placement cache leans on this).
+  [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
+
   // ---- placement epochs ----------------------------------------------------
   // Every successful placement gets a monotonically increasing sequence
   // number, stamped on its cells. The scheduler uses the stamps to decide
@@ -116,6 +122,7 @@ private:
   unsigned free_;
   unsigned quarantined_count_ = 0;
   std::uint64_t seq_ = 0;
+  std::uint64_t gen_ = 0;
 };
 
 }  // namespace epi::sched

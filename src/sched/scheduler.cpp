@@ -106,6 +106,7 @@ void Scheduler::register_graph(std::uint32_t rec_idx) {
   ++gs.unresolved;
   if (spec.graph_stages == 0 || gs.recs.size() < spec.graph_stages) return;
   gs.wired = true;
+  orphan_sweep_ = true;  // waiting stages may now be broken or orphaned
   for (const std::uint32_t r : gs.recs) dag_[r];  // ensure every stage's entry
   for (const std::uint32_t r : gs.recs) {
     for (const auto& [dep_id, bytes] : records_[r].spec.deps) {
@@ -134,6 +135,7 @@ void Scheduler::resolve(JobRecord& rec, Verdict v, sim::Cycles now,
   rec.detail = std::move(detail);
   if (rec.finished == 0 && v != Verdict::Completed) rec.finished = now;
   ++resolved_;
+  orphan_sweep_ = true;  // a failed producer orphans its waiting consumers
   if (rec.spec.graph != 0) {
     if (const auto it = graphs_.find(rec.spec.graph);
         it != graphs_.end() && it->second.unresolved > 0) {
@@ -195,9 +197,8 @@ bool Scheduler::admit_arrivals(sim::Cycles now) {
       continue;
     }
     rec.admitted = now;
-    pending_.push_back(Pending{idx, now, 0});
     bump(c_admitted_, 1.0);
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    enqueue(Pending{idx, now, 0});
     log_event(util::format("@%llu admit job=%u depth=%zu",
                         static_cast<unsigned long long>(now), spec.id,
                         pending_.size()));
@@ -382,8 +383,7 @@ void Scheduler::requeue_or_fail(std::uint32_t rec_idx, sim::Cycles now,
     bump(c_reexecs_, 1.0);
     const sim::Cycles backoff = cfg_.retry_backoff
                                 << std::min(rec.reexecs - 1, 20u);
-    pending_.push_back(Pending{rec_idx, now, now + backoff});
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    enqueue(Pending{rec_idx, now, now + backoff});
     log_event(util::format("@%llu requeue job=%u reexec=%u reason=%s retry_at=%llu",
                         static_cast<unsigned long long>(now), rec.spec.id,
                         rec.reexecs, why,
@@ -414,7 +414,7 @@ void Scheduler::drop_unsatisfiable(sim::Cycles now) {
     log_event(util::format("@%llu fail job=%u reason=mesh-degraded",
                         static_cast<unsigned long long>(now), rec.spec.id));
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    queue_changed();
   }
 }
 
@@ -435,7 +435,7 @@ std::size_t Scheduler::abandon_unresolved(sim::Cycles at,
     log_event(util::format("@%llu fail job=%u reason=chip-dead",
                         static_cast<unsigned long long>(at), rec.spec.id));
   }
-  gauge(g_queue_depth_, 0.0);
+  queue_changed();
   gauge(g_running_, 0.0);
   gauge(g_cores_busy_, static_cast<double>(alloc_.used_cores()));
   return abandoned;
@@ -529,7 +529,7 @@ bool Scheduler::drop_timed_out(sim::Cycles now) {
                         static_cast<unsigned long long>(now), spec.id,
                         static_cast<unsigned long long>(now - rec.admitted)));
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    queue_changed();
   }
   return progress;
 }
@@ -570,6 +570,11 @@ bool Scheduler::dag_launchable(std::uint32_t rec_idx) const {
 /// run: fail it now (cascading down the chain on later passes) instead of
 /// letting it camp in the queue until its timeout.
 bool Scheduler::drop_orphaned(sim::Cycles now) {
+  // Whether a waiting stage is orphaned depends only on its graph's wiring
+  // and its producers' verdicts, so a sweep can find something new only
+  // after one of those changed or a stage joined the queue.
+  if (!orphan_sweep_) return false;
+  orphan_sweep_ = false;
   bool progress = false;
   for (std::size_t i = 0; i < pending_.size();) {
     JobRecord& rec = records_[pending_[i].rec];
@@ -609,7 +614,7 @@ bool Scheduler::drop_orphaned(sim::Cycles now) {
     log_event(util::format("@%llu fail job=%u reason=upstream-failed",
                            static_cast<unsigned long long>(now), rec.spec.id));
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    queue_changed();
   }
   return progress;
 }
@@ -633,6 +638,12 @@ bool Scheduler::handoff_epoch_valid(const Placement& producer,
 }
 
 bool Scheduler::launch(Pending& p, sim::Cycles now) {
+  // place_near is a pure function of the allocator's cells, the shape and
+  // the anchors, so a failed call fails again until the allocator
+  // generation moves. The anchors need no key of their own: a producer joins
+  // them only in reap_completed, right after its rectangle is freed, and
+  // that free moves the generation.
+  if (p.failed_gen == alloc_.generation()) return false;
   JobRecord& rec = records_[p.rec];
   const JobSpec& spec = rec.spec;
   // Co-placement: anchor a pipeline stage next to its completed producers'
@@ -650,9 +661,13 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
       }
     }
   }
+  ++place_attempts_;
   auto placement =
       alloc_.place_near(spec.rows, spec.cols, cfg_.allow_rotate, anchors);
-  if (!placement) return false;
+  if (!placement) {
+    p.failed_gen = alloc_.generation();
+    return false;
+  }
   const std::uint64_t myseq = alloc_.last_place_seq();
 
   ++rec.attempts;
@@ -794,25 +809,50 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
   return true;
 }
 
-void Scheduler::try_place(sim::Cycles now) {
-  if (pending_.empty()) return;
-  // Order candidates by aged priority (descending), admission order as the
-  // tie-break. Indices, not Pending copies: launch() mutates retry state.
-  std::vector<std::size_t> order(pending_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+void Scheduler::enqueue(Pending p) {
+  pending_.push_back(p);
+  orphan_sweep_ = true;  // the newcomer's producer may already have failed
+  queue_changed();
+}
+
+void Scheduler::queue_changed() {
+  order_expires_ = 0;  // re-sort on the next try_place
+  gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+}
+
+/// Order candidates by aged priority (descending), admission order as the
+/// tie-break. Indices, not Pending copies: launch() mutates retry state. The
+/// keys are constant until some waiter's wait reaches its next multiple of
+/// aging_quantum, so the order is reused until then (or until pending_
+/// changes).
+void Scheduler::sort_pending(sim::Cycles now) {
+  order_.resize(pending_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
     return effective_priority(pending_[a], now) >
            effective_priority(pending_[b], now);
   });
+  const sim::Cycles q = cfg_.aging_quantum;
+  order_expires_ = kNever;
+  for (const Pending& p : pending_) {
+    const sim::Cycles waited = now >= p.enqueued ? now - p.enqueued : 0;
+    const sim::Cycles step = q - waited % q;
+    order_expires_ = std::min(order_expires_, step > kNever - now ? kNever : now + step);
+  }
+}
+
+void Scheduler::try_place(sim::Cycles now) {
+  if (pending_.empty()) return;
+  if (now >= order_expires_) sort_pending(now);
 
   std::vector<std::size_t> launched;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    Pending& p = pending_[order[k]];
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    Pending& p = pending_[order_[k]];
     JobRecord& rec = records_[p.rec];
     if (p.retry_at > now) continue;  // still backing off
     if (!dag_launchable(p.rec)) continue;  // producers not finished yet
     if (launch(p, now)) {
-      launched.push_back(order[k]);
+      launched.push_back(order_[k]);
       continue;
     }
     if (rec.started == 0 && p.retry_at <= now && k == 0 &&
@@ -830,7 +870,7 @@ void Scheduler::try_place(sim::Cycles now) {
     for (std::size_t i = launched.size(); i-- > 0;) {
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(launched[i]));
     }
-    gauge(g_queue_depth_, static_cast<double>(pending_.size()));
+    queue_changed();
   }
 }
 
@@ -879,17 +919,17 @@ void Scheduler::run_window(sim::Cycles limit) {
     const sim::Cycles now = eng.now();
     bool progress = true;
     while (progress) {
+      ++passes_;
       progress = admit_arrivals(now);
       progress = reap_completed(now) || progress;
       progress = check_watchdogs(now) || progress;
       progress = drop_timed_out(now) || progress;
       progress = drop_orphaned(now) || progress;
-      const std::size_t before = resolved_;
       try_place(now);
       // A terminal verdict inside try_place (launch failed/errored out) may
       // orphan queued consumer stages; sweep again so they cannot stall the
       // run waiting on a producer that will never exist.
-      if (resolved_ != before) progress = drop_orphaned(now) || progress;
+      progress = drop_orphaned(now) || progress;
     }
     if (resolved_ >= records_.size()) break;
     if (eng.step_below(limit)) continue;

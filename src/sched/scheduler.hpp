@@ -192,11 +192,22 @@ public:
     return handoff_dram_bytes_;
   }
 
+  /// Host passes made so far: one per round of admit, reap, watchdog,
+  /// timeout, orphan and placement checks in run_window. Deterministic.
+  [[nodiscard]] std::uint64_t host_passes() const noexcept { return passes_; }
+  /// Calls into MeshAllocator::place_near made by launch. Deterministic.
+  [[nodiscard]] std::uint64_t place_attempts() const noexcept {
+    return place_attempts_;
+  }
+
 private:
   struct Pending {
     std::uint32_t rec;        // index into records_
     sim::Cycles enqueued;     // admission cycle (aging baseline)
     sim::Cycles retry_at;     // earliest next launch attempt (backoff)
+    // Allocator generation at which this job's place_near last failed; the
+    // call is skipped until the generation moves (launch).
+    std::uint64_t failed_gen = ~std::uint64_t{0};
   };
   struct Running {
     std::uint32_t rec;
@@ -233,6 +244,9 @@ private:
   bool lint_gate(JobRecord& rec, sim::Cycles now);
   bool reap_completed(sim::Cycles now);
   bool drop_timed_out(sim::Cycles now);
+  void enqueue(Pending p);
+  void queue_changed();
+  void sort_pending(sim::Cycles now);
   void try_place(sim::Cycles now);
   bool launch(Pending& p, sim::Cycles now);
   void resolve(JobRecord& rec, Verdict v, sim::Cycles now, std::string detail);
@@ -262,6 +276,15 @@ private:
   std::vector<std::uint32_t> arrivals_;  // record indices, (arrival, id) order
   std::size_t next_arrival_ = 0;
   std::vector<Pending> pending_;     // admission order
+  // Host-pass caches (DESIGN.md, "Incremental host pass"). order_ is
+  // pending_ sorted by aged priority, valid while the clock is below
+  // order_expires_: the next aging crossover, or 0 once pending_ changed.
+  // orphan_sweep_ says drop_orphaned has something new to look at: a
+  // verdict, a pending_ push or a graph that became wired since its last
+  // sweep.
+  std::vector<std::size_t> order_;
+  sim::Cycles order_expires_ = 0;
+  bool orphan_sweep_ = false;
   std::vector<Running> running_;
   // Workgroups whose cores were quarantined by the watchdog. Kept alive (and
   // their reservations held) for the scheduler's lifetime: a stalled-not-dead
@@ -279,6 +302,8 @@ private:
   std::uint64_t handoff_scratch_bytes_ = 0;
   std::uint64_t handoff_dram_bytes_ = 0;
   std::size_t resolved_ = 0;
+  std::uint64_t passes_ = 0;
+  std::uint64_t place_attempts_ = 0;
   std::function<void(const JobRecord&, sim::Cycles)> resolve_hook_;
   sim::Cycles makespan_ = 0;
   double busy_core_cycles_ = 0.0;

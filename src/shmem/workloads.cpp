@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "core/matmul_schedule.hpp"
 #include "mem/memory_system.hpp"
@@ -109,6 +110,15 @@ std::string verify_cannon_output(machine::Machine& m, const device::GroupInfo& i
   const unsigned p = plan.p;
   const unsigned b = plan.block;
   const unsigned n = p * b;
+  // The whole n x n inputs, generated once: the reference product below
+  // reads each element n times.
+  std::vector<float> a(static_cast<std::size_t>(n) * n), bm(a.size());
+  for (unsigned r = 0; r < n; ++r) {
+    for (unsigned k = 0; k < n; ++k) {
+      a[r * n + k] = cannon_input(seed, 0, r, k);
+      bm[r * n + k] = cannon_input(seed, 1, r, k);
+    }
+  }
   for (unsigned i = 0; i < p; ++i) {
     for (unsigned j = 0; j < p; ++j) {
       const arch::CoreCoord c = member(info, i, j);
@@ -116,8 +126,7 @@ std::string verify_cannon_output(machine::Machine& m, const device::GroupInfo& i
         for (unsigned col = 0; col < b; ++col) {
           float want = 0.0f;
           for (unsigned k = 0; k < n; ++k) {
-            want += cannon_input(seed, 0, i * b + r, k) *
-                    cannon_input(seed, 1, k, j * b + col);
+            want += a[(i * b + r) * n + k] * bm[k * n + j * b + col];
           }
           want *= static_cast<float>(plan.iters);
           const float got = read_float(m, c, plan.c + 4 * (r * b + col));

@@ -28,6 +28,9 @@
 #include "fault/plan.hpp"
 #include "host/system.hpp"
 #include "sched/cluster.hpp"
+#include "sched/report.hpp"
+#include "sched/scheduler.hpp"
+#include "sched/workload.hpp"
 #include "shmem/shmem.hpp"
 #include "shmem/workloads.hpp"
 #include "sim/engine.hpp"
@@ -203,6 +206,84 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+// ---- single-chip serving ------------------------------------------------
+//
+// Every decision the host pass makes lands in the report, the decision log
+// or the fault log, so hashing all three pins the scheduler's behaviour: a
+// cached sort order, a skipped placement or a skipped orphan sweep that
+// changed a single decision changes the hash. The matrix covers the plain
+// mix, pipelines (co-placement, handoffs, cascade drops), serialised graphs,
+// an overload that keeps the queue full and the head blocked, a tiny queue,
+// and watchdog recovery under a seeded chaos plan.
+
+struct ChipRun {
+  sched::TrafficConfig traffic;
+  sched::SchedConfig sched;
+  const fault::FaultPlan* plan = nullptr;
+};
+
+std::string chip_bytes(const ChipRun& run) {
+  host::System sys;
+  if (run.plan != nullptr) sys.machine().enable_faults(*run.plan);
+  sched::Scheduler sc(sys, run.sched);
+  for (auto& spec : sched::generate(run.traffic)) sc.submit(std::move(spec));
+  sc.run();
+  std::string all = sched::render_report(sc);
+  for (const auto& line : sc.event_log()) all += line + "\n";
+  for (const auto& r : sc.fault_log()) all += fault::to_line(r) + "\n";
+  return all;
+}
+
+ChipRun default_mix() {
+  ChipRun run;
+  run.traffic.pipeline_frac = 0.25;
+  return run;
+}
+
+// 400 jobs arriving ten times faster than the default mix: the queue stays
+// full, arrivals are rejected, and the starving head blocks backfill on most
+// passes.
+ChipRun overload() {
+  ChipRun run;
+  run.traffic.jobs = 400;
+  run.traffic.mean_interarrival = 3'000;
+  return run;
+}
+
+TEST(GoldenDeterminism, SingleChipServeBytes) {
+  EXPECT_EQ(fnv1a(chip_bytes(default_mix())), 13103955691279388000ull);
+
+  ChipRun pipelines = default_mix();
+  pipelines.traffic.pipeline_frac = 1.0;
+  EXPECT_EQ(fnv1a(chip_bytes(pipelines)), 1315383253409857603ull);
+
+  ChipRun serialised = default_mix();
+  serialised.sched.pipeline_overlap = false;
+  EXPECT_EQ(fnv1a(chip_bytes(serialised)), 5138938536153307375ull);
+
+  EXPECT_EQ(fnv1a(chip_bytes(overload())), 17464508304830592661ull);
+
+  ChipRun small_queue = default_mix();
+  small_queue.sched.queue_capacity = 8;
+  EXPECT_EQ(fnv1a(chip_bytes(small_queue)), 14608972221315529219ull);
+
+  fault::ChaosConfig cc;
+  cc.seed = 7;
+  cc.dims = {8, 8};
+  cc.horizon = 900'000;
+  cc.core_kills = 1;
+  cc.core_stalls = 1;
+  cc.link_faults = 6;
+  cc.elink_flips = 1;
+  cc.mem_flips = 1;
+  const fault::FaultPlan plan = fault::generate(cc);
+  ChipRun chaos = default_mix();
+  chaos.traffic.jobs = 40;
+  chaos.sched.watchdog_cycles = 400'000;
+  chaos.plan = &plan;
+  EXPECT_EQ(fnv1a(chip_bytes(chaos)), 2659176237492918493ull);
 }
 
 // Everything observable from a cluster run, concatenated: report bytes,

@@ -230,6 +230,27 @@ TEST(Lint, InBoundsStrideIsClean) {
   EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 
+// `ldr r1, [r1], #4` leaves the loaded value plus 4 in r1, so r1 is
+// data-dependent, not a cursor stepping through the scratchpad: the walk
+// cannot be bounded and must not be reported. Loading into another register
+// (r2) off the same base is the control case.
+TEST(Lint, PostmodifyLoadIntoItsOwnBaseIsNoCursor) {
+  for (const char* rd : {"r1", "r2"}) {
+    const std::string text = std::string(
+                                 "mov r7, #5\n"
+                                 "mov r1, #0x7fe0\n"
+                                 "loop:\n"
+                                 "ldr ") +
+                             rd +
+                             ", [r1], #4\n"
+                             "sub r7, r7, #1\n"
+                             "bne loop\n"
+                             "halt\n";
+    const auto fs = lint_text(text.c_str());
+    EXPECT_TRUE(fs.empty()) << rd << ":\n" << dump(fs);
+  }
+}
+
 TEST(Lint, BankStraddle) {
   const auto fs = lint_text(
       "mov r0, #8190\n"

@@ -255,6 +255,41 @@ TEST(Scheduler, MixedSeededWorkloadIsDeterministic) {
   EXPECT_FALSE(log1.empty());
 }
 
+// Host-pass work is deterministic, so it is pinned exactly: a pass runs for
+// every engine event, and a placement attempt is one place_near call. The
+// passes match the uncached scheduler's; the attempts are what the
+// failed-placement cache left of its calls.
+struct PassCounts {
+  std::uint64_t passes = 0;
+  std::uint64_t attempts = 0;
+  friend bool operator==(const PassCounts&, const PassCounts&) = default;
+  friend void PrintTo(const PassCounts& c, std::ostream* os) {
+    *os << "{passes " << c.passes << ", place_near " << c.attempts << "}";
+  }
+};
+
+PassCounts pass_counts(const sched::TrafficConfig& tc) {
+  host::System sys;
+  sched::Scheduler sc(sys);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  return {sc.host_passes(), sc.place_attempts()};
+}
+
+TEST(Scheduler, HostPassAndPlaceAttemptCounts) {
+  sched::TrafficConfig mix;  // seed 1, 60 jobs: epi_serve's default stream
+  EXPECT_EQ(pass_counts(mix), (PassCounts{19163, 217}));
+
+  sched::TrafficConfig pipelines = mix;
+  pipelines.pipeline_frac = 0.25;
+  EXPECT_EQ(pass_counts(pipelines), (PassCounts{27908, 318}));
+
+  sched::TrafficConfig overload = mix;
+  overload.jobs = 400;
+  overload.mean_interarrival = 3'000;
+  EXPECT_EQ(pass_counts(overload), (PassCounts{56071, 4253}));
+}
+
 // ---- workload spec round-trip ---------------------------------------------
 
 TEST(Workload, SaveLoadRoundTrips) {
